@@ -13,7 +13,7 @@
 //	            [-league] [-policy qz,na,mdp,...]
 //	            [-events N] [-seed N] [-mcu apollo4|msp430] [-csv]
 //	            [-parallel N] [-timeout D] [-progress]
-//	            [-engine fixed|event] [-fast]
+//	            [-engine fixed|event|lockstep]
 //	            [-faults SPEC] [-temp SPEC] [-meascost SPEC]
 //	            [-trace FILE.json] [-metrics FILE.txt] [-pprof HOST:PORT]
 package main
@@ -35,7 +35,6 @@ import (
 	"quetzal/internal/obs"
 	"quetzal/internal/report"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 )
 
 // validateObsFlags checks the shared observability flag set plus the
@@ -83,8 +82,7 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		md       = flag.Bool("md", false, "emit Markdown tables")
 		svgDir   = flag.String("svg", "", "also write an SVG chart per figure into this directory")
-		engine   = flag.String("engine", "", "time-advance engine: fixed (paper-faithful reference) or event (~100x faster, statistically matching); default fixed")
-		fast     = flag.Bool("fast", false, "shorthand for -engine event")
+		engine   = flag.String("engine", "", "time-advance engine: fixed (paper-faithful reference), event (~100x faster, statistically matching) or lockstep (same stepper as event); default fixed")
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = one per CPU)")
 		timeout  = flag.Duration("timeout", 0, "per-run timeout, e.g. 30s (0 = none)")
 		progress = flag.Bool("progress", false, "log each run to stderr as it completes")
@@ -157,7 +155,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	kind, err := parseEngine(*engine, *fast)
+	kind, err := experiments.ParseEngineKind(*engine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -336,29 +334,6 @@ func main() {
 	}
 	if !*csv && !*md {
 		fmt.Printf("[sweep: %v, %d workers]\n", sw.Ledger(), sw.Workers())
-	}
-}
-
-// parseEngine resolves the -engine/-fast flags into an engine kind, up
-// front like -fig: a typo fails in milliseconds, before any simulation.
-// -fast stays as shorthand for -engine event; combining it with an
-// explicit conflicting -engine is an error rather than a silent override.
-func parseEngine(arg string, fast bool) (sim.EngineKind, error) {
-	switch arg {
-	case "":
-		if fast {
-			return sim.EventDriven, nil
-		}
-		return sim.FixedIncrement, nil
-	case "fixed":
-		if fast {
-			return 0, fmt.Errorf("-fast conflicts with -engine fixed")
-		}
-		return sim.FixedIncrement, nil
-	case "event":
-		return sim.EventDriven, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q; valid engines: fixed, event", arg)
 	}
 }
 

@@ -9,7 +9,7 @@
 //	           [-env more-crowded|crowded|less-crowded|msp430-crowded|surge|marathon]
 //	           [-mcu apollo4|msp430] [-events N] [-seed N] [-cells N]
 //	           [-capture SECONDS] [-v] [-json]
-//	           [-stepper fixed|event|lockstep] [-fast]
+//	           [-stepper fixed|event|lockstep]
 //	           [-faults SPEC] [-temp SPEC] [-meascost SPEC]
 //	           [-timeline FILE.csv] [-timelinesvg FILE.svg]
 //	           [-trace FILE.json] [-metrics FILE.txt] [-pprof HOST:PORT]
@@ -20,7 +20,7 @@
 //	quetzalsim -policy mdp -env surge -events 300
 //	quetzalsim -system na -env more-crowded -mcu msp430
 //	quetzalsim -system fixed-50 -env less-crowded -v
-//	quetzalsim -system qz -env crowded -stepper lockstep   # fastest engine, bit-identical to event
+//	quetzalsim -system qz -env crowded -stepper event   # event-driven engine (~100x faster)
 //	quetzalsim -system qz -env crowded -trace run.json   # open in chrome://tracing
 //	quetzalsim -fleet 100000 -system qz -env less-crowded -progress   # population sweep
 //	quetzalsim -system ensure -env crowded -faults "task=100%,limit=2,dropout=30+10/120"
@@ -117,8 +117,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print full counters")
 		timeline = flag.String("timeline", "", "write a per-second CSV timeline to this file")
 		jsonOut  = flag.Bool("json", false, "emit the full result record as JSON")
-		fast     = flag.Bool("fast", false, "use the event-driven engine (~100x faster); shorthand for -stepper event")
-		stepper  = flag.String("stepper", "", "time-advance engine: fixed (paper-faithful default), event, or lockstep (fastest, bit-identical to event)")
+		stepper  = flag.String("stepper", "", "time-advance engine: fixed (paper-faithful default), event (~100x faster), or lockstep (same stepper as event; the fleet default)")
 		tlSVG    = flag.String("timelinesvg", "", "render the timeline as an SVG line chart (requires -timeline)")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file (open in chrome://tracing)")
 		metOut   = flag.String("metrics", "", "write a metrics text dump to this file after the run")
@@ -136,7 +135,8 @@ func main() {
 	)
 	flag.Parse()
 
-	stepperName, err := resolveStepper(*stepper, *fast)
+	// Validate the engine name up front: a typo fails before any simulation.
+	engine, err := experiments.ParseEngineKind(*stepper)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -167,7 +167,7 @@ func main() {
 		if isFlagSet("events") {
 			fleetEvents = *events
 		}
-		if err := runFleet(ff, systemID, *envName, fleetEvents, *seed, stepperName, faultSpec, *jsonOut); err != nil {
+		if err := runFleet(ff, systemID, *envName, fleetEvents, *seed, *stepper, faultSpec, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -190,13 +190,7 @@ func main() {
 	setup.Seed = *seed
 	setup.Cells = *cells
 	setup.CapturePeriod = *capture
-	if stepperName != "" {
-		setup.Engine, err = experiments.ParseEngineKind(stepperName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
+	setup.Engine = engine
 	setup.Profile, err = resolveMCU(*mcu)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -355,20 +349,6 @@ func renderTimelineSVG(csvPath, svgPath string) error {
 	}
 	defer out.Close()
 	return chart.WriteSVG(out)
-}
-
-// resolveStepper merges -stepper and the legacy -fast shorthand into one
-// engine wire name ("" = the caller's default: fixed for single runs,
-// lockstep for fleets). -fast is an alias for -stepper event; naming a
-// different stepper alongside it is a conflict, not a silent override.
-func resolveStepper(stepper string, fast bool) (string, error) {
-	if fast && stepper != "" && stepper != "event" {
-		return "", fmt.Errorf("-fast is shorthand for -stepper event; it conflicts with -stepper %s", stepper)
-	}
-	if fast {
-		return "event", nil
-	}
-	return stepper, nil
 }
 
 // isFlagSet reports whether a flag was passed explicitly on the command

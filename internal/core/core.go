@@ -92,7 +92,7 @@ type Controller interface {
 }
 
 // ReplaySensitive is an optional Controller marker: a controller whose
-// decisions depend on state the lockstep engine's crawl-regime replay does
+// decisions depend on state the event-driven stepper's crawl replay does
 // not freeze (e.g. the energy-store level) returns true, and the engine
 // disables the replay fast path for it. Controllers that do not implement
 // the interface are treated as insensitive.

@@ -13,9 +13,9 @@ import (
 // a duty-cycled square-wave harvest over 20 interesting events (460
 // simulated seconds), the same scenario (including per-iteration app,
 // controller, and machine construction) BENCH_engine.json's pre-refactor
-// baseline was recorded with. No observers are registered: this is the bare
-// machine + stepper hot path.
-func benchEngineRun(b *testing.B, s Stepper) {
+// baseline was recorded with. Only the given observers are registered, so
+// with none this is the bare machine + stepper hot path.
+func benchEngineRun(b *testing.B, s Stepper, obs ...Observer) {
 	prof := device.Apollo4()
 	events := &trace.EventTrace{}
 	t := 10.0
@@ -41,6 +41,7 @@ func benchEngineRun(b *testing.B, s Stepper) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		m.Observe(obs...)
 		res, err := m.Run(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
@@ -57,4 +58,8 @@ func benchEngineRun(b *testing.B, s Stepper) {
 }
 
 func BenchmarkEngineFixed(b *testing.B) { benchEngineRun(b, FixedStepper{}) }
-func BenchmarkEngineEvent(b *testing.B) { benchEngineRun(b, EventStepper{}) }
+
+// BenchmarkEngineEvent is the event-driven stepper on its per-segment path:
+// the replay-off reference registers a no-op observer, which turns the crawl
+// replay off.
+func BenchmarkEngineEvent(b *testing.B) { benchEngineRun(b, LockstepStepper{}, replayOff) }

@@ -157,7 +157,7 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Faults.DropoutDurS > 0 {
 		// Layer the dropout mask here, once, so every stepper — including
-		// lockstep's constant-window analysis — samples the same trace
+		// the crawl replay's constant-window analysis — samples the same trace
 		// object. Idempotent across re-normalisation: never re-wrap.
 		if _, ok := cfg.Power.(faults.Dropout); !ok {
 			cfg.Power = faults.Dropout{

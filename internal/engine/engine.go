@@ -9,11 +9,12 @@
 //     about how step lengths are chosen.
 //
 //   - Stepper is the pluggable time-advance strategy. FixedStepper is the
-//     paper's §6.3 reference (constant 1 ms increments); EventStepper
-//     advances in variable piecewise-linear segments bounded by the next
-//     discrete event and runs ~50–200× faster with statistically matching
-//     results. Both drive the same Machine transition, so the physics
-//     cannot diverge between engines by construction.
+//     paper's §6.3 reference (constant 1 ms increments); LockstepStepper,
+//     the one event-driven loop, advances in variable piecewise-linear
+//     segments bounded by the next discrete event, replays brown-out crawl
+//     regimes in closed form, and runs ~50–200× faster with statistically
+//     matching results. Both drive the same Machine transition, so the
+//     physics cannot diverge between engines by construction.
 //
 //   - Observer is the instrumentation pipeline: registered observers are
 //     invoked from one site after every committed step (EndStep) and once
@@ -40,19 +41,16 @@ const (
 	// crossing, observer horizon). Within such a segment the step dynamics
 	// are piecewise-linear, so the same Step transition applies exactly;
 	// runs are typically 50–200× faster with statistically matching
-	// results (validated in internal/simgen's differential oracle). Use it
-	// for large sweeps; use FixedIncrement for the paper-faithful
-	// reference.
+	// results (validated in internal/simgen's differential oracle). When
+	// no observer is attached, brown-out crawl regimes — a store pinned at
+	// the floor with a pending capture, advancing in minSegment steps — are
+	// replayed as constant-addend updates; results are bit-identical with
+	// or without the replay. Use it for large sweeps; use FixedIncrement
+	// for the paper-faithful reference.
 	EventDriven
-	// Lockstep is the batch-throughput stepper: it commits the exact same
-	// segment sequence as EventDriven (the event stream and results are
-	// bit-identical — pinned by golden parity and the three-way differential
-	// oracle), but detects fixed-point "crawl" regimes — a store pinned at
-	// the brown-out floor with a pending capture, advancing in minSegment
-	// steps — and replays them as closed-form runs of constant-addend
-	// updates instead of full segment/step dispatch. Batch (NewBatch) runs
-	// many machines under it in lockstep rounds over shared power segments.
-	// See DESIGN.md §13.
+	// Lockstep selects the same stepper as EventDriven. It stays a
+	// distinct value because its name is part of run ids and store keys
+	// (experiments.RunKey). See DESIGN.md §13.
 	Lockstep
 )
 
@@ -71,14 +69,13 @@ func (k Kind) String() string {
 	}
 }
 
-// StepperFor returns the stepper implementing the given kind; unknown
-// values fall back to the fixed-increment reference, mirroring the
-// facade's historical switch.
+// StepperFor returns the stepper implementing the given kind: the one
+// event-driven stepper for EventDriven and Lockstep, else the
+// fixed-increment reference (unknown values included, mirroring the
+// facade's historical switch).
 func StepperFor(k Kind) Stepper {
 	switch k {
-	case EventDriven:
-		return EventStepper{}
-	case Lockstep:
+	case EventDriven, Lockstep:
 		return LockstepStepper{}
 	}
 	return FixedStepper{}

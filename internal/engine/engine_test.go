@@ -67,6 +67,10 @@ func testConfig(t *testing.T, app *model.App, ctl core.Controller) Config {
 	}
 }
 
+// stepperKinds names the two time-advance loops; subtests carry the kind
+// names and run StepperFor(kind).
+var stepperKinds = []Kind{FixedIncrement, EventDriven}
+
 func mustRun(t *testing.T, cfg Config, s Stepper, obs ...Observer) (mRes *Machine, _ error) {
 	t.Helper()
 	m, err := New(cfg)
@@ -115,15 +119,18 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestStepperFor pins the kind → stepper map: one event-driven stepper for
+// both event kinds, and the fixed-increment reference for everything else.
 func TestStepperFor(t *testing.T) {
-	if k := StepperFor(EventDriven).Kind(); k != EventDriven {
-		t.Errorf("StepperFor(EventDriven).Kind() = %v", k)
-	}
-	if k := StepperFor(FixedIncrement).Kind(); k != FixedIncrement {
-		t.Errorf("StepperFor(FixedIncrement).Kind() = %v", k)
-	}
-	if k := StepperFor(Kind(9)).Kind(); k != FixedIncrement {
-		t.Errorf("unknown kind should fall back to fixed, got %v", k)
+	for k, want := range map[Kind]Stepper{
+		FixedIncrement: FixedStepper{},
+		EventDriven:    LockstepStepper{},
+		Lockstep:       LockstepStepper{},
+		Kind(9):        FixedStepper{}, // unknown kinds fall back to fixed
+	} {
+		if got := StepperFor(k); got != want {
+			t.Errorf("StepperFor(%v) = %T, want %T", k, got, want)
+		}
 	}
 }
 
@@ -255,8 +262,9 @@ func TestHotPathZeroAlloc(t *testing.T) {
 }
 
 func TestObserverPipeline(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-		t.Run(s.Kind().String(), func(t *testing.T) {
+	for _, k := range stepperKinds {
+		t.Run(k.String(), func(t *testing.T) {
+			s := StepperFor(k)
 			var steps, finishes int
 			var lastNow float64
 			m, err := mustRun(t, testConfig(t, nil, nil), s, FuncObserver{
@@ -295,8 +303,9 @@ func TestObserverFinishErrorFailsRun(t *testing.T) {
 // Horizon forces segment boundaries onto the row grid, so every row is
 // stamped exactly on a multiple of the interval.
 func TestTimelineGrid(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-		t.Run(s.Kind().String(), func(t *testing.T) {
+	for _, k := range stepperKinds {
+		t.Run(k.String(), func(t *testing.T) {
+			s := StepperFor(k)
 			var buf bytes.Buffer
 			cfg := testConfig(t, nil, nil)
 			_, err := mustRun(t, cfg, s, NewTimelineWriter(&buf, 0.5))
@@ -332,8 +341,9 @@ func TestTimelineGrid(t *testing.T) {
 // TestInvariantObserverCatchesCorruption is the engine-level mutation test:
 // teleporting the store's charge without accounting must fail the run.
 func TestInvariantObserverCatchesCorruption(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-		t.Run(s.Kind().String(), func(t *testing.T) {
+	for _, k := range stepperKinds {
+		t.Run(k.String(), func(t *testing.T) {
+			s := StepperFor(k)
 			m, err := New(testConfig(t, nil, nil))
 			if err != nil {
 				t.Fatal(err)
@@ -364,7 +374,7 @@ func TestInvariantObserverCatchesCorruption(t *testing.T) {
 // clean and within coarse agreement.
 func TestSteppersProduceConsistentRuns(t *testing.T) {
 	results := map[Kind]float64{}
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
+	for _, k := range stepperKinds {
 		prof := device.Apollo4()
 		app := prof.PersonDetectionApp()
 		cfg := testConfig(t, app, quetzalController(t, app))
@@ -373,17 +383,17 @@ func TestSteppersProduceConsistentRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Observe(InvariantObserver{C: invariant.New(invariant.Config{})})
-		res, err := m.Run(context.Background(), s)
+		res, err := m.Run(context.Background(), StepperFor(k))
 		if err != nil {
-			t.Fatalf("%v: %v", s.Kind(), err)
+			t.Fatalf("%v: %v", k, err)
 		}
 		if res.Captures == 0 || res.Arrivals == 0 || res.JobsCompleted == 0 {
-			t.Fatalf("%v: degenerate run: %+v", s.Kind(), res)
+			t.Fatalf("%v: degenerate run: %+v", k, res)
 		}
 		if res.Brownouts == 0 {
-			t.Errorf("%v: scenario intended to brown out never did", s.Kind())
+			t.Errorf("%v: scenario intended to brown out never did", k)
 		}
-		results[s.Kind()] = float64(res.Arrivals)
+		results[k] = float64(res.Arrivals)
 	}
 	f, e := results[FixedIncrement], results[EventDriven]
 	if math.Abs(f-e) > 0.25*math.Max(f, e) {
@@ -395,8 +405,8 @@ func TestSteppersProduceConsistentRuns(t *testing.T) {
 // power; all must produce clean, invariant-checked runs.
 func TestCheckpointPolicies(t *testing.T) {
 	for _, p := range []CheckpointPolicy{JITCheckpoint, NoCheckpoint, PeriodicCheckpoint} {
-		for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-			t.Run(p.String()+"/"+s.Kind().String(), func(t *testing.T) {
+		for _, k := range stepperKinds {
+			t.Run(p.String()+"/"+k.String(), func(t *testing.T) {
 				cfg := testConfig(t, nil, nil)
 				cfg.Checkpoint = p
 				cfg.CheckpointInterval = 0.2
@@ -405,7 +415,7 @@ func TestCheckpointPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.Observe(InvariantObserver{C: invariant.New(invariant.Config{})})
-				res, err := m.Run(context.Background(), s)
+				res, err := m.Run(context.Background(), StepperFor(k))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -421,22 +431,22 @@ func TestCheckpointPolicies(t *testing.T) {
 func TestJitterOverride(t *testing.T) {
 	cfg := testConfig(t, nil, nil)
 	cfg.TexeJitterOverride = 0.3
-	if _, err := mustRun(t, cfg, EventStepper{},
+	if _, err := mustRun(t, cfg, LockstepStepper{},
 		InvariantObserver{C: invariant.New(invariant.Config{})}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCancellation(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
+	for _, k := range stepperKinds {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		m, err := New(testConfig(t, nil, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Run(ctx, s); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: canceled run returned %v", s.Kind(), err)
+		if _, err := m.Run(ctx, StepperFor(k)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: canceled run returned %v", k, err)
 		}
 	}
 }

@@ -2,61 +2,33 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"quetzal/internal/faults"
-	"quetzal/internal/metrics"
 	"quetzal/internal/trace"
 )
 
-// LockstepStepper is the batch-throughput stepper. It commits the exact
-// segment sequence of EventStepper — same segment chooser, same Step
-// transition, same clock accumulation — so event streams and results are
-// bit-identical to the event-driven engine (pinned by the golden-parity
-// test and the three-way differential oracle in internal/simgen). What it
-// adds is the crawl replay: when the machine enters a fixed-point regime in
-// which every segment is provably minSegment and every step repeats the
-// same float arithmetic (see replayCrawl), it commits those steps out of
-// line as constant-addend updates instead of full segment/step dispatch.
-//
-// NewBatch runs many machines under this stepper in lockstep rounds over
-// shared power-segment walls, amortizing construction and dispatch across
-// the batch. See DESIGN.md §13.
+// LockstepStepper is the event-driven stepper; StepperFor returns it for
+// both EventDriven and Lockstep. Each iteration picks the largest
+// event-free segment (segment), applies the Machine.Step transition over
+// it, and accumulates the clock. On top of that loop sits the crawl replay:
+// when the machine enters a fixed-point regime in which every segment is
+// provably minSegment and every step repeats the same float arithmetic (see
+// replayCrawl), it commits those steps out of line as constant-addend
+// updates instead of full segment/step dispatch. The replay only commits
+// values the per-segment path would produce, so results and event streams
+// are the same with it on or off (pinned by the golden parity test and the
+// differential oracle in internal/simgen).
 type LockstepStepper struct{}
 
-// Kind reports Lockstep.
-func (LockstepStepper) Kind() Kind { return Lockstep }
-
-// Run executes the lockstep main loop for a single machine: the event-driven
-// loop with the crawl replay spliced in.
+// Run executes the event-driven main loop with the crawl replay spliced in.
 func (LockstepStepper) Run(ctx context.Context, m *Machine) error {
-	step := 0
-	if err := lockstepRun(ctx, m, m.cfg.Duration, &step); err != nil {
-		return err
-	}
-	m.now = m.cfg.Duration
-	return nil
-}
-
-// lockstepRun advances m until its clock reaches min(wall, duration). It is
-// the loop shared by the single-run stepper (wall = duration) and Batch
-// rounds; step carries the step index across rounds so the test hook and the
-// cancellation stride see one continuous run. The wall only pauses the loop —
-// segment choice never depends on it — so any wall schedule commits the
-// identical step sequence.
-func lockstepRun(ctx context.Context, m *Machine, wall float64, step *int) error {
 	end := m.cfg.Duration
-	if wall > end {
-		wall = end
-	}
-	i := *step
-	defer func() { *step = i }()
-	for m.now < wall {
+	for i := 0; m.now < end; {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return m.canceled(ctx)
 		}
-		if n := m.replayCrawl(wall); n > 0 {
+		if n := m.replayCrawl(end); n > 0 {
 			// The replay commits steps in bulk; keep the index honest and
 			// re-check cancellation here since the stride check above may
 			// now be skipped over.
@@ -73,6 +45,7 @@ func lockstepRun(ctx context.Context, m *Machine, wall float64, step *int) error
 		m.EndStep(dt)
 		i++
 	}
+	m.now = end
 	return nil
 }
 
@@ -303,232 +276,4 @@ func constantWindow(tr trace.PowerTrace, t float64) (p, until float64, ok bool) 
 		return pb, until, true
 	}
 	return 0, 0, false
-}
-
-// PowerSegment is one span of a piecewise-linear decomposition of a power
-// trace: over [T0, T1) the power ramps linearly from P0 to P1.
-type PowerSegment struct {
-	T0, T1 float64
-	P0, P1 float64
-}
-
-// Energy returns the closed-form (trapezoid) energy delivered over the
-// segment, in joules, pre-harvester-efficiency.
-func (s PowerSegment) Energy() float64 {
-	return 0.5 * (s.P0 + s.P1) * (s.T1 - s.T0)
-}
-
-// maxBuildSegments bounds a decomposition's size: degenerate traces (a
-// millisecond-period square wave over hours) are reported undecomposable
-// rather than materialized.
-const maxBuildSegments = 1 << 20
-
-// BuildSegments decomposes tr over [0, duration) into contiguous
-// piecewise-linear segments: the first T0 is 0, each T1 equals the next
-// segment's T0, the last T1 equals duration, and within each span the trace
-// is linear between the endpoint powers. It returns nil when the trace's
-// dynamic type is unknown or the decomposition would exceed
-// maxBuildSegments. Batch uses the edges as lockstep round walls;
-// FuzzSegments pins the coverage and closed-form-energy properties.
-func BuildSegments(tr trace.PowerTrace, duration float64) []PowerSegment {
-	if duration <= 0 {
-		return nil
-	}
-	switch s := tr.(type) {
-	case trace.Constant:
-		return []PowerSegment{{T0: 0, T1: duration, P0: s.P, P1: s.P}}
-	case trace.SquareWave:
-		if s.Period <= 0 || s.Duty <= 0 || s.Duty >= 1 {
-			// Degenerate waves are constant for all t ≥ 0.
-			p := s.Power(0)
-			return []PowerSegment{{T0: 0, T1: duration, P0: p, P1: p}}
-		}
-		if duration/s.Period*2 > maxBuildSegments {
-			return nil
-		}
-		segs := make([]PowerSegment, 0, int(duration/s.Period)*2+2)
-		t := 0.0
-		for k := 0; t < duration; k++ {
-			hi := (float64(k) + s.Duty) * s.Period // high→low edge
-			lo := float64(k+1) * s.Period          // period end
-			for _, edgeT := range [2]float64{hi, lo} {
-				if edgeT <= t {
-					continue // zero-length sliver (duty edge at a period edge)
-				}
-				t1 := edgeT
-				if t1 > duration {
-					t1 = duration
-				}
-				p := s.Power((t + t1) / 2)
-				segs = append(segs, PowerSegment{T0: t, T1: t1, P0: p, P1: p})
-				t = t1
-				if t >= duration {
-					break
-				}
-			}
-		}
-		return segs
-	case trace.Scaled:
-		segs := BuildSegments(s.Base, duration)
-		for i := range segs {
-			segs[i].P0 *= s.Factor
-			segs[i].P1 *= s.Factor
-		}
-		return segs
-	case *trace.Sampled:
-		if len(s.Samples) == 0 {
-			return []PowerSegment{{T0: 0, T1: duration}}
-		}
-		if s.Dt <= 0 || len(s.Samples) == 1 {
-			p := s.Samples[0]
-			return []PowerSegment{{T0: 0, T1: duration, P0: p, P1: p}}
-		}
-		if duration/s.Dt+1 > maxBuildSegments {
-			return nil
-		}
-		segs := make([]PowerSegment, 0, int(duration/s.Dt)+2)
-		t := 0.0
-		for i := 0; t < duration && i < len(s.Samples)-1; i++ {
-			t1 := float64(i+1) * s.Dt
-			if t1 > duration {
-				t1 = duration
-			}
-			segs = append(segs, PowerSegment{T0: t, T1: t1, P0: s.Power(t), P1: s.Power(t1)})
-			t = t1
-		}
-		if t < duration {
-			// Past the sample grid the trace clamps to its last sample.
-			p := s.Samples[len(s.Samples)-1]
-			segs = append(segs, PowerSegment{T0: t, T1: duration, P0: p, P1: p})
-		}
-		return segs
-	}
-	return nil
-}
-
-// Batch runs many machines under the lockstep stepper in shared rounds. The
-// machines live in one slab (construction amortizes), and each round
-// advances every unfinished machine to the next shared wall, so the batch
-// sweeps the same stretch of simulated time together. Walls never influence
-// segment choice — results are bit-identical to running each machine alone.
-type Batch struct {
-	machines []Machine
-	steps    []int
-	walls    []float64
-	ran      bool
-}
-
-// NewBatch validates every config and builds the machine slab. Configs may
-// differ arbitrarily; sharing a power trace merely aligns the rounds with
-// its piecewise-linear edges.
-func NewBatch(cfgs []Config) (*Batch, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("engine: empty batch")
-	}
-	b := &Batch{
-		machines: make([]Machine, len(cfgs)),
-		steps:    make([]int, len(cfgs)),
-	}
-	maxEnd := 0.0
-	for i := range cfgs {
-		if err := initMachine(&b.machines[i], cfgs[i]); err != nil {
-			return nil, fmt.Errorf("engine: batch config %d: %w", i, err)
-		}
-		if d := b.machines[i].cfg.Duration; d > maxEnd {
-			maxEnd = d
-		}
-	}
-	b.walls = batchWalls(&b.machines[0], maxEnd)
-	return b, nil
-}
-
-// batchWalls derives the round boundaries: the first machine's power-segment
-// edges when the builder can decompose its trace (merged below a floor so
-// fine-grained traces do not cause per-sample pauses), else a uniform grid.
-func batchWalls(m0 *Machine, maxEnd float64) []float64 {
-	const minRound = 0.5
-	var walls []float64
-	if segs := BuildSegments(m0.cfg.Power, maxEnd); segs != nil {
-		last := 0.0
-		for _, s := range segs {
-			if s.T1-last >= minRound {
-				walls = append(walls, s.T1)
-				last = s.T1
-			}
-		}
-	} else {
-		for t := minRound; t < maxEnd; t += minRound {
-			walls = append(walls, t)
-		}
-	}
-	if len(walls) == 0 || walls[len(walls)-1] < maxEnd {
-		walls = append(walls, maxEnd)
-	}
-	return walls
-}
-
-// Len returns the number of machines in the batch.
-func (b *Batch) Len() int { return len(b.machines) }
-
-// Machine returns machine i, for observer registration before Run and
-// inspection after. Registering observers disables that machine's crawl
-// replay (they must see every step), exactly as with the single-run stepper.
-func (b *Batch) Machine(i int) *Machine { return &b.machines[i] }
-
-// Results returns a pointer to machine i's results. Valid after Run; the
-// pointer aliases the machine's own accumulator, so fleet-scale callers can
-// reduce through it without copying the ~90-field struct.
-func (b *Batch) Results(i int) *metrics.Results { return &b.machines[i].res }
-
-// Run advances all machines to completion in lockstep rounds and finalises
-// each exactly as Machine.RunInto would: finish, observer OnFinish, and the
-// accounting self-check when no invariant observer subsumes it.
-func (b *Batch) Run(ctx context.Context) error {
-	if b.ran {
-		return fmt.Errorf("engine: batch already run")
-	}
-	b.ran = true
-	active := make([]int, len(b.machines))
-	for i := range active {
-		active[i] = i
-	}
-	walls := append(b.walls, math.Inf(1)) // defensive final round
-	for _, wall := range walls {
-		if len(active) == 0 {
-			break
-		}
-		next := active[:0]
-		for _, idx := range active {
-			m := &b.machines[idx]
-			if err := lockstepRun(ctx, m, wall, &b.steps[idx]); err != nil {
-				return fmt.Errorf("engine: batch machine %d: %w", idx, err)
-			}
-			if m.now < m.cfg.Duration {
-				next = append(next, idx)
-				continue
-			}
-			if err := b.finalize(m); err != nil {
-				return fmt.Errorf("engine: batch machine %d: %w", idx, err)
-			}
-		}
-		active = next
-	}
-	return nil
-}
-
-// finalize mirrors the tail of Machine.RunInto for one completed machine.
-func (b *Batch) finalize(m *Machine) error {
-	m.now = m.cfg.Duration
-	m.finish()
-	for _, o := range m.observers {
-		if err := o.OnFinish(m); err != nil {
-			return err
-		}
-	}
-	if !m.verified {
-		if err := m.res.Check(); err != nil {
-			return fmt.Errorf("inconsistent accounting: %w", err)
-		}
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"math"
 	"testing"
 
 	"quetzal/internal/baseline"
@@ -15,8 +14,8 @@ import (
 	"quetzal/internal/trace"
 )
 
-// lockstepScenario is one workload the lockstep stepper must reproduce
-// bit-for-bit against the event stepper: same event-log stream, same
+// lockstepScenario is one workload on which the crawl replay must reproduce
+// the replay-off reference bit for bit: same event-log stream, same
 // results, field for field.
 type lockstepScenario struct {
 	name  string
@@ -77,9 +76,15 @@ func lockstepConfig(t testing.TB, sc lockstepScenario) Config {
 	return cfg
 }
 
-// runFingerprint executes one machine under the given stepper with the event
-// log hashed, returning the stream digest and the results.
-func runFingerprint(t testing.TB, cfg Config, s Stepper) (string, metrics.Results, *Machine) {
+// replayOff is the replay-off reference: a no-op observer. The stepper's
+// replay gate treats any registered observer as "observe every step", so a
+// machine carrying it takes the per-segment path on every step.
+var replayOff = FuncObserver{}
+
+// runFingerprint executes one machine under the event-driven stepper with
+// the event log hashed and the given observers registered, returning the
+// stream digest and the results.
+func runFingerprint(t testing.TB, cfg Config, obs ...Observer) (string, metrics.Results, *Machine) {
 	t.Helper()
 	h := sha256.New()
 	w := bufio.NewWriter(h)
@@ -88,7 +93,8 @@ func runFingerprint(t testing.TB, cfg Config, s Stepper) (string, metrics.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(context.Background(), s)
+	m.Observe(obs...)
+	res, err := m.Run(context.Background(), LockstepStepper{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +104,20 @@ func runFingerprint(t testing.TB, cfg Config, s Stepper) (string, metrics.Result
 	return hex.EncodeToString(h.Sum(nil)), res, m
 }
 
-// TestLockstepBitIdentical pins the lockstep stepper's core contract: for
-// every scenario the event-log stream and every results field are
-// bit-identical to the event stepper's — the crawl replay may only commit
-// steps whose outcomes are provably the ones the normal path would produce.
+// TestLockstepBitIdentical pins the crawl replay's core contract: for every
+// scenario the event-log stream and every results field are bit-identical
+// to the replay-off reference — the replay may only commit steps whose
+// outcomes are provably the ones the per-segment path would produce.
 func TestLockstepBitIdentical(t *testing.T) {
 	for _, sc := range lockstepScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			eventHash, eventRes, _ := runFingerprint(t, lockstepConfig(t, sc), EventStepper{})
-			lockHash, lockRes, lm := runFingerprint(t, lockstepConfig(t, sc), LockstepStepper{})
-			if eventHash != lockHash {
-				t.Errorf("event-log stream diverged: event %s vs lockstep %s", eventHash, lockHash)
+			refHash, refRes, _ := runFingerprint(t, lockstepConfig(t, sc), replayOff)
+			lockHash, lockRes, lm := runFingerprint(t, lockstepConfig(t, sc))
+			if refHash != lockHash {
+				t.Errorf("event-log stream diverged: replay off %s vs replay on %s", refHash, lockHash)
 			}
 			// Empty tolerance: every field must match exactly.
-			if diffs := metrics.Diff(eventRes, lockRes, metrics.Tolerance{}); len(diffs) > 0 {
+			if diffs := metrics.Diff(refRes, lockRes, metrics.Tolerance{}); len(diffs) > 0 {
 				t.Errorf("results diverged:\n%v", diffs)
 			}
 			if sc.replay > 0 && lm.ReplayedSteps() == 0 {
@@ -142,7 +148,8 @@ func TestLockstepReplayDominates(t *testing.T) {
 }
 
 // TestLockstepObserverDisablesReplay: observers must see every step, so
-// registering one forces the normal path (and results stay identical).
+// registering one forces the per-segment path, and results stay identical
+// to the unobserved run, which replays.
 func TestLockstepObserverDisablesReplay(t *testing.T) {
 	sc := lockstepScenarios()[0]
 	m, err := New(lockstepConfig(t, sc))
@@ -161,99 +168,17 @@ func TestLockstepObserverDisablesReplay(t *testing.T) {
 	if steps == 0 {
 		t.Fatal("observer saw no steps")
 	}
-	_, eventRes, _ := runFingerprint(t, lockstepConfig(t, sc), EventStepper{})
-	if diffs := metrics.Diff(eventRes, res, metrics.Tolerance{}); len(diffs) > 0 {
-		t.Fatalf("observed lockstep run diverged from event run:\n%v", diffs)
+	_, replayRes, rm := runFingerprint(t, lockstepConfig(t, sc))
+	if rm.ReplayedSteps() == 0 {
+		t.Fatal("unobserved run never replayed; the comparison exercises nothing")
+	}
+	if diffs := metrics.Diff(replayRes, res, metrics.Tolerance{}); len(diffs) > 0 {
+		t.Fatalf("observed run diverged from the replaying run:\n%v", diffs)
 	}
 }
 
-// TestLockstepBatchMatchesIndividual: a batch run must produce, per config,
-// exactly the results of running that config alone — under either stepper.
-func TestLockstepBatchMatchesIndividual(t *testing.T) {
-	scs := lockstepScenarios()
-	cfgs := make([]Config, 0, len(scs)+2)
-	for _, sc := range scs {
-		cfgs = append(cfgs, lockstepConfig(t, sc))
-	}
-	// Two extra machines with distinct seeds/stores to vary the mix.
-	extra := lockstepConfig(t, scs[0])
-	extra.Seed = 1234
-	cfgs = append(cfgs, extra)
-	extra2 := lockstepConfig(t, scs[3])
-	st := energy.DefaultConfig()
-	st.Capacitance = 0.02
-	extra2.Store = st
-	cfgs = append(cfgs, extra2)
-
-	batch, err := NewBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo, err := m.Run(context.Background(), EventStepper{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diffs := metrics.Diff(solo, *batch.Results(i), metrics.Tolerance{}); len(diffs) > 0 {
-			t.Errorf("batch machine %d diverged from solo event run:\n%v", i, diffs)
-		}
-	}
-	if batch.Run(context.Background()) == nil {
-		t.Fatal("second Run on the same batch must error")
-	}
-}
-
-// TestLockstepBatchAllocs pins the amortized construction cost of the batch
-// path: per config it must stay far below the ~1621 allocs/run the
-// single-run path pays (BENCH_engine.json), since batch construction shares
-// the machine slab and per-run plumbing.
-func TestLockstepBatchAllocs(t *testing.T) {
-	const n = 32
-	base := lockstepConfig(t, lockstepScenarios()[0])
-	prof := base.Profile
-	app := base.App
-	mkCfgs := func() []Config {
-		cfgs := make([]Config, n)
-		for i := range cfgs {
-			ctl, err := baseline.NoAdapt(app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfgs[i] = Config{
-				Profile: prof, App: app, Controller: ctl,
-				Power: base.Power, Events: base.Events,
-				Seed: int64(100 + i),
-			}
-		}
-		return cfgs
-	}
-	avg := testing.AllocsPerRun(3, func() {
-		batch, err := NewBatch(mkCfgs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := batch.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perConfig := avg / n
-	// Floor with headroom over the measured ~40/config (store, buffer, rng,
-	// controller internals); a regression to per-run construction costs
-	// (~1621) must trip this.
-	if perConfig > 400 {
-		t.Fatalf("batch path allocates %.1f allocs/config (total %.0f), want ≤ 400", perConfig, avg)
-	}
-}
-
-// TestLockstepCancellation: both the main loop and the replay path must
-// notice a canceled context promptly.
+// TestLockstepCancellation: the main loop must notice a canceled context
+// before committing any step.
 func TestLockstepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -264,177 +189,9 @@ func TestLockstepCancellation(t *testing.T) {
 	if _, err := m.Run(ctx, LockstepStepper{}); err == nil {
 		t.Fatal("want cancellation error, got nil")
 	}
-	batch, err := NewBatch([]Config{lockstepConfig(t, lockstepScenarios()[0])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.Run(ctx); err == nil {
-		t.Fatal("want batch cancellation error, got nil")
-	}
 }
 
-// TestBuildSegmentsKnownShapes spot-checks the decomposition on the shapes
-// the fuzz target explores, plus the nil cases.
-func TestBuildSegmentsKnownShapes(t *testing.T) {
-	segs := BuildSegments(trace.Constant{P: 2}, 10)
-	if len(segs) != 1 || segs[0].T0 != 0 || segs[0].T1 != 10 || segs[0].Energy() != 20 {
-		t.Fatalf("constant decomposition wrong: %+v", segs)
-	}
-	sq := trace.SquareWave{High: 1, Low: 0, Period: 2, Duty: 0.5}
-	segs = BuildSegments(sq, 5)
-	total := 0.0
-	for _, s := range segs {
-		total += s.Energy()
-	}
-	// High windows [0,1), [2,3), [4,5): 3 s at 1 W.
-	if math.Abs(total-3) > 1e-9 {
-		t.Fatalf("square-wave energy %g, want 3 (segments %+v)", total, segs)
-	}
-	if BuildSegments(powerFunc(func(float64) float64 { return 1 }), 10) != nil {
-		t.Fatal("unknown trace type must not decompose")
-	}
-	if BuildSegments(trace.SquareWave{High: 1, Period: 1e-9, Duty: 0.5}, 1000) != nil {
-		t.Fatal("oversized decomposition must be reported nil")
-	}
-}
-
-// powerFunc adapts a func to trace.PowerTrace for the unknown-type case.
-type powerFunc func(float64) float64
-
-func (f powerFunc) Power(t float64) float64 { return f(t) }
-
-// FuzzSegments fuzzes BuildSegments over the known trace shapes and pins the
-// two structural properties the batch walls and the closed-form math rely
-// on: the segments cover [0, duration) exactly once, and each segment's
-// trapezoid Energy() equals a tick-summed integral of the real trace within
-// tolerance (which also verifies the trace is linear inside the segment).
-func FuzzSegments(f *testing.F) {
-	f.Add(uint8(0), uint32(50), uint32(4), uint32(60000), uint8(50), uint16(600), uint8(8), int64(1))
-	f.Add(uint8(1), uint32(50), uint32(4), uint32(60000), uint8(50), uint16(4600), uint8(8), int64(2))
-	f.Add(uint8(2), uint32(120), uint32(9), uint32(333), uint8(13), uint16(77), uint8(5), int64(3))
-	f.Add(uint8(3), uint32(75), uint32(2), uint32(1000), uint8(99), uint16(123), uint8(40), int64(4))
-	f.Add(uint8(4), uint32(75), uint32(2), uint32(1000), uint8(1), uint16(999), uint8(3), int64(5))
-	f.Fuzz(func(t *testing.T, kind uint8, a, b, periodMs uint32, dutyPct uint8, durDs uint16, nSamp uint8, seed int64) {
-		mkPow := func(v uint32) float64 { return float64(v%5000) / 1000.0 }
-		duration := 0.1 + float64(durDs%1000)/10.0
-		sq := trace.SquareWave{
-			High:   mkPow(a),
-			Low:    mkPow(b),
-			Period: 0.001 + float64(periodMs%120000)/1000.0,
-			Duty:   float64(dutyPct%101) / 100.0,
-		}
-		sampled := func() *trace.Sampled {
-			n := int(nSamp%64) + 2
-			s := &trace.Sampled{Dt: 0.25 + float64(periodMs%4000)/1000.0, Samples: make([]float64, n)}
-			x := uint64(seed)
-			for i := range s.Samples {
-				x = x*6364136223846793005 + 1442695040888963407
-				s.Samples[i] = float64(x%5000) / 1000.0
-			}
-			return s
-		}
-		var tr trace.PowerTrace
-		switch kind % 5 {
-		case 0:
-			tr = trace.Constant{P: mkPow(a)}
-		case 1:
-			tr = sq
-		case 2:
-			tr = trace.Scaled{Base: sq, Factor: mkPow(b)/2 + 0.1}
-		case 3:
-			tr = sampled()
-		case 4:
-			tr = trace.Scaled{Base: sampled(), Factor: mkPow(a)/2 + 0.1}
-		}
-		segs := BuildSegments(tr, duration)
-		if segs == nil {
-			t.Fatalf("known shape %T must decompose (duration %g)", tr, duration)
-		}
-		// Coverage: [0, duration) exactly once, in order, no gaps/overlaps.
-		if segs[0].T0 != 0 {
-			t.Fatalf("first segment starts at %g, want 0", segs[0].T0)
-		}
-		if last := segs[len(segs)-1].T1; last != duration {
-			t.Fatalf("last segment ends at %g, want %g", last, duration)
-		}
-		for i, s := range segs {
-			if !(s.T1 > s.T0) {
-				t.Fatalf("segment %d empty or inverted: %+v", i, s)
-			}
-			if i > 0 && s.T0 != segs[i-1].T1 {
-				t.Fatalf("segment %d starts at %g, previous ended at %g", i, s.T0, segs[i-1].T1)
-			}
-		}
-		// Closed-form energy vs tick-summed energy, per segment. Midpoint
-		// ticks of a linear function integrate it exactly in real
-		// arithmetic, so the tolerance only absorbs float rounding.
-		for i, s := range segs {
-			ticks := 64
-			h := (s.T1 - s.T0) / float64(ticks)
-			sum := 0.0
-			for j := 0; j < ticks; j++ {
-				sum += tr.Power(s.T0+(float64(j)+0.5)*h) * h
-			}
-			cf := s.Energy()
-			tol := 1e-9*(math.Abs(cf)+math.Abs(sum)) + 1e-12
-			if math.Abs(sum-cf) > tol {
-				t.Fatalf("segment %d [%g,%g): closed-form energy %g vs tick-summed %g (tol %g)",
-					i, s.T0, s.T1, cf, sum, tol)
-			}
-		}
-	})
-}
-
-// BenchmarkEngineLockstep is the single-run lockstep figure on the shared
-// bench workload (comparable to BenchmarkEngineEvent row for row).
+// BenchmarkEngineLockstep is the event-driven stepper with the crawl replay
+// on, on the shared bench workload (comparable to BenchmarkEngineEvent, its
+// replay-off reference, row for row).
 func BenchmarkEngineLockstep(b *testing.B) { benchEngineRun(b, LockstepStepper{}) }
-
-// BenchmarkLockstepBatch is the sweep headline BENCH_lockstep.json records:
-// batches of 64 bench-workload configs (distinct seeds) through NewBatch,
-// the shape fleet sweeps and oracle corpora actually run.
-func BenchmarkLockstepBatch(b *testing.B) {
-	const size = 64
-	prof := device.Apollo4()
-	events := &trace.EventTrace{}
-	at := 10.0
-	for i := 0; i < 20; i++ {
-		events.Events = append(events.Events, trace.Event{Start: at, Duration: 10, Interesting: true})
-		at += 20
-	}
-	power := trace.SquareWave{High: 0.05, Low: 0.004, Period: 60, Duty: 0.5}
-	app := prof.PersonDetectionApp()
-	b.ReportAllocs()
-	simulated := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfgs := make([]Config, size)
-		for j := range cfgs {
-			ctl, err := baseline.NoAdapt(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfgs[j] = Config{
-				Profile: prof, App: app, Controller: ctl,
-				Power: power, Events: events,
-				Seed: int64(j + 1),
-			}
-		}
-		batch, err := NewBatch(cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := batch.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < size; j++ {
-			simulated += batch.Results(j).SimSeconds
-		}
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(simulated/sec, "sim-s/s")
-	}
-	if b.N > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/simulated, "ns/sim-s")
-	}
-}

@@ -58,7 +58,7 @@ type Machine struct {
 	observers []Observer
 	verified  bool // an InvariantObserver subsumes the end-of-run Check
 
-	// replaySteps counts steps committed by the lockstep crawl replay
+	// replaySteps counts steps committed by the crawl replay
 	// (lockstep.go) instead of the full segment/step path; tests assert the
 	// fast path actually engages on crawl-heavy workloads.
 	replaySteps int
@@ -154,20 +154,10 @@ type faultState struct {
 
 // New validates the configuration and builds a Machine.
 func New(cfg Config) (*Machine, error) {
-	m := new(Machine)
-	if err := initMachine(m, cfg); err != nil {
+	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-// initMachine initialises a Machine in place — the construction seam NewBatch
-// uses to build a slab of machines with one allocation for the structs.
-func initMachine(m *Machine, cfg Config) error {
-	if err := cfg.normalize(); err != nil {
-		return err
-	}
-	*m = Machine{
+	m := &Machine{
 		cfg:   cfg,
 		app:   cfg.App,
 		ctl:   cfg.Controller,
@@ -213,7 +203,7 @@ func initMachine(m *Machine, cfg Config) error {
 			m.ovhPower = e / t
 		}
 	}
-	return nil
+	return m, nil
 }
 
 // Observe appends observers to the pipeline. Register before Run; the
@@ -288,9 +278,9 @@ func (m *Machine) Store() *energy.Store { return m.store }
 // PendingCaptures counts frames still inside the capture pipeline.
 func (m *Machine) PendingCaptures() int { return m.captures.Len() }
 
-// ReplayedSteps counts steps the lockstep crawl replay committed without
-// full segment/step dispatch (0 under the other steppers or when the fast
-// path never engaged).
+// ReplayedSteps counts steps the crawl replay committed without full
+// segment/step dispatch (0 under the fixed-increment stepper, with
+// observers attached, or when the fast path never engaged).
 func (m *Machine) ReplayedSteps() int { return m.replaySteps }
 
 // Phase names the machine's current activity, in the device's priority

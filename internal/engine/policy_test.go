@@ -82,7 +82,7 @@ func TestPolicyMatchesController(t *testing.T) {
 	sc := lockstepScenarios()[0]
 
 	viaName := policyConfig(t, sc, policy.NoAdapt)
-	nameHash, nameRes, _ := runFingerprint(t, viaName, EventStepper{})
+	nameHash, nameRes, _ := runFingerprint(t, viaName)
 
 	viaCtl := lockstepConfig(t, sc)
 	ctl, err := baseline.NoAdapt(viaCtl.App)
@@ -90,7 +90,7 @@ func TestPolicyMatchesController(t *testing.T) {
 		t.Fatal(err)
 	}
 	viaCtl.Controller = ctl
-	ctlHash, ctlRes, _ := runFingerprint(t, viaCtl, EventStepper{})
+	ctlHash, ctlRes, _ := runFingerprint(t, viaCtl)
 
 	if nameHash != ctlHash {
 		t.Errorf("event-log stream diverged: policy %s vs controller %s", nameHash, ctlHash)
@@ -101,8 +101,8 @@ func TestPolicyMatchesController(t *testing.T) {
 }
 
 // TestReplaySensitivePolicyDisablesReplay: a strategy that reads the energy
-// store (MDP) must keep the lockstep crawl replay off — the replay does not
-// freeze store state — while staying bit-identical to the event stepper.
+// store (MDP) must keep the crawl replay off — the replay does not freeze
+// store state — while staying bit-identical to the replay-off reference.
 func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 	sc := lockstepScenarios()[0] // bench-square: replay engages for insensitive controllers
 
@@ -120,15 +120,15 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 
 	for _, name := range []string{policy.MDPName, policy.InterweaveName} {
 		t.Run(name, func(t *testing.T) {
-			eventHash, eventRes, _ := runFingerprint(t, policyConfig(t, sc, name), EventStepper{})
-			lockHash, lockRes, lm := runFingerprint(t, policyConfig(t, sc, name), LockstepStepper{})
+			refHash, refRes, _ := runFingerprint(t, policyConfig(t, sc, name), replayOff)
+			lockHash, lockRes, lm := runFingerprint(t, policyConfig(t, sc, name))
 			if lm.ReplayedSteps() != 0 {
 				t.Errorf("replay committed %d steps for replay-sensitive policy %s", lm.ReplayedSteps(), name)
 			}
-			if eventHash != lockHash {
-				t.Errorf("event-log stream diverged: event %s vs lockstep %s", eventHash, lockHash)
+			if refHash != lockHash {
+				t.Errorf("event-log stream diverged: replay off %s vs unobserved %s", refHash, lockHash)
 			}
-			if diffs := metrics.Diff(eventRes, lockRes, metrics.Tolerance{}); len(diffs) > 0 {
+			if diffs := metrics.Diff(refRes, lockRes, metrics.Tolerance{}); len(diffs) > 0 {
 				t.Errorf("results diverged:\n%v", diffs)
 			}
 		})
@@ -136,7 +136,7 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 
 	// EnSuRe reads only λ and the quantized pin, both frozen by the crawl
 	// classifier, so it keeps the fast path.
-	_, _, em := runFingerprint(t, policyConfig(t, sc, policy.EnSuReName), LockstepStepper{})
+	_, _, em := runFingerprint(t, policyConfig(t, sc, policy.EnSuReName))
 	if em.ReplayedSteps() == 0 {
 		t.Error("ensure (replay-insensitive) never engaged the replay on the crawl-heavy workload")
 	}

@@ -7,8 +7,6 @@ import "context"
 // Machine.Step. Implementations must call, per committed step, in order:
 // m.Hook(i), m.Step(dt), the clock advance, m.EndStep(dt).
 type Stepper interface {
-	// Kind reports which engine this stepper implements.
-	Kind() Kind
 	// Run advances m from t=0 to its configured duration, polling ctx for
 	// cancellation between steps.
 	Run(ctx context.Context, m *Machine) error
@@ -22,9 +20,6 @@ const ctxCheckStride = 4096
 // FixedStepper advances in constant StepDt increments — the paper's §6.3
 // reference loop.
 type FixedStepper struct{}
-
-// Kind reports FixedIncrement.
-func (FixedStepper) Kind() Kind { return FixedIncrement }
 
 // Run executes the fixed-increment main loop. Time is stamped as i*dt
 // (not accumulated) so the step count is exact and float drift cannot

@@ -90,11 +90,12 @@ type FleetSpec struct {
 	Profile string `json:"profile,omitempty"`
 	Events  int    `json:"events,omitempty"`
 	Seed    int64  `json:"seed,omitempty"`
-	// Engine defaults to "lockstep" — fleets are population sweeps with no
-	// per-device observers, exactly the regime the lockstep stepper's crawl
-	// replay targets, and it is bit-identical to "event" (so aggregates and
-	// their sha256 fingerprints do not change with the default). The
-	// fixed-increment reference stepper would make 1M devices intractable.
+	// Engine defaults to "lockstep", the event-driven stepper under the name
+	// fleet run ids have always carried. Fleets are population sweeps with
+	// no per-device observers, exactly the regime its crawl replay targets.
+	// "event" selects the same stepper, so aggregates and their sha256
+	// fingerprints do not depend on the choice. The fixed-increment
+	// reference stepper would make 1M devices intractable.
 	Engine    string  `json:"engine,omitempty"`
 	ShardSize int     `json:"shard_size,omitempty"`
 	Jitter    float64 `json:"jitter,omitempty"`

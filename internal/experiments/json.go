@@ -93,8 +93,9 @@ func EnvByName(name string) (Environment, bool) {
 }
 
 // ParseEngineKind maps the wire names to engine kinds ("" → fixed, the
-// paper-faithful default). "lockstep" selects the batched fast path, bit-
-// identical to "event" (pinned by golden parity and the three-way oracle).
+// paper-faithful default). "event" and "lockstep" select the same
+// event-driven stepper; they stay distinct names because run ids carry
+// them.
 func ParseEngineKind(name string) (sim.EngineKind, error) {
 	switch name {
 	case "", "fixed":

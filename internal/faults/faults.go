@@ -9,8 +9,8 @@
 // package state, no wall clock, no math/rand streams shared with the
 // simulator. Fault draws hash a dedicated split-seed (DeriveSeed /
 // fleet.StreamFaults) so the same Spec produces bit-identical fault
-// sequences across the fixed, event, and lockstep steppers and across any
-// fleet shard layout. DESIGN.md §15 documents the full model.
+// sequences across the fixed-increment and event-driven steppers and across
+// any fleet shard layout. DESIGN.md §15 documents the full model.
 package faults
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -101,6 +102,51 @@ func TestEventDrivenMatchesFixedIncrement(t *testing.T) {
 			within(t, "reported", float64(event.ReportedInteresting()), float64(fixed.ReportedInteresting()), 0.15, 20)
 			within(t, "harvested", event.HarvestedJoules, fixed.HarvestedJoules, 0.05, 0.1)
 		})
+	}
+}
+
+// TestEventDrivenReplaysCrawl: an unchecked sim.EventDriven run of a starved
+// scenario replays its brown-out crawl, and both its results and its event
+// stream are identical to the checked run, whose invariant observer keeps
+// the replay off.
+func TestEventDrivenReplaysCrawl(t *testing.T) {
+	run := func(checks CheckMode) (*Simulator, string) {
+		prof := device.Apollo4()
+		app := prof.PersonDetectionApp()
+		var log bytes.Buffer
+		s, err := New(Config{
+			Engine:     EventDriven,
+			Profile:    prof,
+			App:        app,
+			Controller: noadaptController(t, app),
+			Power:      trace.Constant{P: 0.003}, // starved: the store crawls at its floor
+			Events:     steadyEvents(20, 10, 10, true),
+			Seed:       42,
+			Checks:     checks,
+			EventLog:   &log,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s, log.String()
+	}
+	checked, checkedLog := run(ChecksOn)
+	unchecked, uncheckedLog := run(ChecksOff)
+
+	if n := unchecked.Machine().ReplayedSteps(); n == 0 {
+		t.Error("unchecked event-driven run never replayed the crawl")
+	}
+	if n := checked.Machine().ReplayedSteps(); n != 0 {
+		t.Errorf("checked run replayed %d steps; its observer must keep the replay off", n)
+	}
+	if diffs := metrics.Diff(checked.Results(), unchecked.Results(), metrics.Tolerance{}); len(diffs) > 0 {
+		t.Errorf("unchecked results diverged from the checked run:\n%v", diffs)
+	}
+	if checkedLog != uncheckedLog {
+		t.Error("unchecked event stream diverged from the checked run")
 	}
 }
 

@@ -2,8 +2,8 @@ package sim
 
 // Simulator-level tests for the hardware-realism layer (internal/faults):
 // mutation tests proving the new invariant checks actually fire, the
-// no-double-credit contract of fault re-execution, lockstep engagement with
-// faults enabled, and the zero-spec no-op guarantee.
+// no-double-credit contract of fault re-execution, crawl-replay engagement
+// with faults enabled, and the zero-spec no-op guarantee.
 
 import (
 	"bufio"
@@ -196,20 +196,20 @@ func TestFaultReexecutionNoDoubleCredit(t *testing.T) {
 }
 
 // faultyStarvedConfig is a power-starved scenario with the full realism
-// spec — the regime where the lockstep crawl replay matters.
-func faultyStarvedConfig(t *testing.T, engine EngineKind) Config {
+// spec — the regime where the crawl replay matters.
+func faultyStarvedConfig(t *testing.T, checks CheckMode) Config {
 	t.Helper()
 	prof := device.Apollo4()
 	app := prof.PersonDetectionApp()
 	return Config{
-		Engine:     engine,
+		Engine:     EventDriven,
 		Profile:    prof,
 		App:        app,
 		Controller: noadaptController(t, app),
 		Power:      trace.Constant{P: 0.012}, // starved: long recharge crawls
 		Events:     steadyEvents(5, 10, 5, true),
 		Seed:       11,
-		Checks:     ChecksOff, // observers disable the crawl replay
+		Checks:     checks, // observers disable the crawl replay
 		Faults: faults.Spec{
 			TaskFaultPct: 100, TaskFaultLimit: 2,
 			DropoutStartS: 20, DropoutDurS: 10,
@@ -219,13 +219,14 @@ func faultyStarvedConfig(t *testing.T, engine EngineKind) Config {
 }
 
 // TestLockstepFaultsBitIdenticalAndEngaged proves two things at once: with
-// the realism layer active the lockstep stepper still commits the event
-// engine's exact trajectory (results and event stream bit-identical), and it
-// does so while actually replaying crawl segments — not by silently falling
-// back to the slow path.
+// the realism layer active the unchecked event-driven run still commits the
+// checked run's exact trajectory (results and event stream bit-identical;
+// the invariant observer keeps the checked run off the replay), and it does
+// so while actually replaying crawl segments — not by silently falling back
+// to the slow path.
 func TestLockstepFaultsBitIdenticalAndEngaged(t *testing.T) {
-	run := func(engine EngineKind) (Config, *Simulator, string) {
-		cfg := faultyStarvedConfig(t, engine)
+	run := func(checks CheckMode) (Config, *Simulator, string) {
+		cfg := faultyStarvedConfig(t, checks)
 		var log bytes.Buffer
 		bw := bufio.NewWriter(&log)
 		cfg.EventLog = bw
@@ -241,17 +242,20 @@ func TestLockstepFaultsBitIdenticalAndEngaged(t *testing.T) {
 		}
 		return cfg, s, log.String()
 	}
-	_, ev, evLog := run(EventDriven)
-	_, ls, lsLog := run(Lockstep)
+	_, ev, evLog := run(ChecksOn)
+	_, ls, lsLog := run(ChecksOff)
 
 	if evRes, lsRes := ev.Results(), ls.Results(); evRes != lsRes {
-		t.Errorf("lockstep results diverged from event-driven:\nevent:    %+v\nlockstep: %+v", evRes, lsRes)
+		t.Errorf("unchecked results diverged from the checked run:\nchecked:   %+v\nunchecked: %+v", evRes, lsRes)
 	}
 	if evLog != lsLog {
-		t.Error("lockstep event stream diverged from event-driven under faults")
+		t.Error("unchecked event stream diverged from the checked run under faults")
+	}
+	if ev.Machine().ReplayedSteps() != 0 {
+		t.Errorf("checked run replayed %d steps; the reference must take the per-segment path", ev.Machine().ReplayedSteps())
 	}
 	if ls.Machine().ReplayedSteps() == 0 {
-		t.Error("lockstep crawl replay never engaged under faults; the fast path silently degraded to per-segment stepping")
+		t.Error("crawl replay never engaged under faults; the fast path silently degraded to per-segment stepping")
 	}
 	if ls.Results().TransientFaults == 0 {
 		t.Error("starved faulty scenario injected no transient faults; the test exercises nothing")

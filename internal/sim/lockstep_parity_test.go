@@ -13,12 +13,13 @@ import (
 	"quetzal/internal/simgen"
 )
 
-// The lockstep stepper's speed contract: it must reproduce the event
-// engine's committed fingerprints, not earn its own golden entries. Every
-// scenario in testdata/golden.json runs here through sim.Lockstep with
-// checks off (so the crawl replay is actually active — observers disable
-// it) and must hash to the pinned `<scenario>/event-driven` fingerprint
-// byte for byte. A divergence means the fast path changed physics.
+// The crawl replay's speed contract: it must reproduce the committed
+// fingerprints, not earn its own golden entries. The pinned
+// `<scenario>/event-driven` fingerprints come from checked runs, on which
+// the invariant observer keeps the replay off. Every scenario in
+// testdata/golden.json runs here through sim.Lockstep with checks off (so
+// the replay is actually active) and must hash to that fingerprint byte
+// for byte. A divergence means the fast path changed physics.
 func TestGoldenLockstepParity(t *testing.T) {
 	buf, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -36,16 +37,16 @@ func TestGoldenLockstepParity(t *testing.T) {
 			}
 			got := fingerprintLockstep(t, sc.p.Normalize())
 			if got != pinned {
-				t.Errorf("lockstep stream diverged from the pinned event-driven fingerprint:\n"+
-					"  lockstep: %d lines sha %.12s…\n  pinned:   %d lines sha %.12s…",
+				t.Errorf("replay-on stream diverged from the pinned event-driven fingerprint:\n"+
+					"  replay on: %d lines sha %.12s…\n  pinned:    %d lines sha %.12s…",
 					got.Lines, got.SHA256, pinned.Lines, pinned.SHA256)
 			}
 		})
 	}
 }
 
-// fingerprintLockstep mirrors fingerprint but forces the lockstep engine
-// with checks off, the configuration under which the crawl replay engages.
+// fingerprintLockstep mirrors fingerprint but selects sim.Lockstep with
+// checks off, the configuration under which the crawl replay engages.
 func fingerprintLockstep(t *testing.T, p simgen.Params) goldenEntry {
 	t.Helper()
 	cfg, err := p.Config(sim.Lockstep)

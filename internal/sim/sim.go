@@ -142,15 +142,14 @@ const (
 	FixedIncrement = engine.FixedIncrement
 	// EventDriven advances in variable-length segments bounded by the next
 	// discrete event; typically 50–200× faster with statistically matching
-	// results. See engine.EventDriven.
+	// results. Without observers on the hot path it also replays brown-out
+	// crawl regimes as constant-addend updates, an order of magnitude
+	// faster on starved workloads; checks, timelines and metrics sinks keep
+	// the per-segment path, with bit-identical results either way (pinned
+	// by golden parity). See engine.EventDriven and DESIGN.md §13.
 	EventDriven = engine.EventDriven
-	// Lockstep commits the exact segment sequence of EventDriven — event
-	// streams and results are bit-identical, pinned by golden parity — but
-	// replays fixed-point crawl regimes as constant-addend updates, an
-	// order of magnitude faster on starved sweep workloads. Fastest choice
-	// for fleets and corpora; requires no observers on the hot path for the
-	// replay to engage (checks, timelines and metrics sinks fall back to
-	// the normal per-segment path). See engine.Lockstep and DESIGN.md §13.
+	// Lockstep selects the same stepper as EventDriven under its own name,
+	// which run ids and store keys carry. See engine.Lockstep.
 	Lockstep = engine.Lockstep
 )
 

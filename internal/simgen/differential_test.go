@@ -25,10 +25,11 @@ func sweepSize() int {
 	return 200
 }
 
-// sweepPair is one config run through all three engines: the fixed and
-// event arms through Run (checks on), the lockstep arm through RunUnchecked
-// so its crawl replay is live — the whole point of the third arm is to
-// certify the fast path, not the fallback.
+// sweepPair is one config run three times: the fixed and event arms
+// through Run (checks on, so the event arm takes the per-segment path), and
+// the replay arm through RunUnchecked so the crawl replay is live — the
+// whole point of the third arm is to certify the fast path, not the
+// fallback.
 type sweepPair struct {
 	p                  Params
 	fixed, event, lock metrics.Results
@@ -80,10 +81,10 @@ func runSweep(t *testing.T) []sweepPair {
 	return sweepData
 }
 
-// shrink minimizes a config that violates an engine-pair comparison: while
+// shrink minimizes a config that violates a pair comparison: while
 // any simpler neighbour still diverges, move there. Bounded so a
 // pathological lattice cannot loop. The diverges predicate names the pair,
-// so the minimal reproducer in a failure message states which two engines
+// so the minimal reproducer in a failure message states which two runs
 // disagree, not just that some pair did.
 func shrink(p Params, diverges func(Params) bool) Params {
 	for round := 0; round < 32; round++ {
@@ -117,8 +118,9 @@ func divergesFixedEvent(tol metrics.Tolerance) func(Params) bool {
 	}
 }
 
-// divergesEventLockstep reports whether event↔lockstep differ in ANY field
-// on q — the lockstep contract is bit-identity, so the tolerance is empty.
+// divergesEventLockstep reports whether the replay-off and replay-on runs
+// differ in ANY field on q — the replay's contract is bit-identity, so the
+// tolerance is empty.
 func divergesEventLockstep(q Params) bool {
 	ev, err := q.Run(sim.EventDriven)
 	if err != nil {
@@ -162,7 +164,7 @@ var curated = []Params{
 }
 
 // TestDifferentialCurated holds fixed↔event to TypicalTolerance on the
-// hand-picked table, and event↔lockstep to exact equality.
+// hand-picked table, and replay-off↔replay-on to exact equality.
 func TestDifferentialCurated(t *testing.T) {
 	for i, p := range curated {
 		p := p.Normalize()
@@ -178,7 +180,7 @@ func TestDifferentialCurated(t *testing.T) {
 			}
 			lock, err := p.RunUnchecked(sim.Lockstep)
 			if err != nil {
-				t.Fatalf("%v: lockstep engine: %v", p, err)
+				t.Fatalf("%v: replay-on event engine: %v", p, err)
 			}
 			if diffs := metrics.Diff(fixed, event, TypicalTolerance()); len(diffs) > 0 {
 				t.Errorf("pair fixed↔event disagrees on %v:\n  fixed: %v\n  event: %v", p, fixed, event)
@@ -187,7 +189,7 @@ func TestDifferentialCurated(t *testing.T) {
 				}
 			}
 			if diffs := metrics.Diff(event, lock, metrics.Tolerance{}); len(diffs) > 0 {
-				t.Errorf("pair event↔lockstep not bit-identical on %v:", p)
+				t.Errorf("pair replay-off↔replay-on not bit-identical on %v:", p)
 				for _, d := range diffs {
 					t.Errorf("  %s", d)
 				}
@@ -227,12 +229,13 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestDifferentialLockstepExact is the third edge of the oracle triangle:
-// event↔lockstep must agree on EVERY field of every sweep config — no
-// tolerance at all. Combined with TestDifferentialRandom (fixed↔event
-// within Tolerance) this closes fixed↔lockstep transitively, so the three
-// engines form a certified triangle over the full corpus. A violation is
-// shrunk and reported naming the pair.
+// TestDifferentialLockstepExact is the oracle's exact edge: the
+// event-driven stepper with its crawl replay on (checks off) must agree
+// with the replay-off run (checks on) on EVERY field of every sweep config
+// — no tolerance at all. Combined with TestDifferentialRandom (fixed↔event
+// within Tolerance) this certifies the replaying fast path against the
+// fixed-increment reference over the full corpus. A violation is shrunk and
+// reported naming the pair.
 func TestDifferentialLockstepExact(t *testing.T) {
 	for _, pr := range runSweep(t) {
 		diffs := metrics.Diff(pr.event, pr.lock, metrics.Tolerance{})
@@ -249,7 +252,7 @@ func TestDifferentialLockstepExact(t *testing.T) {
 		if len(sdiffs) == 0 { // shrank past the violation; report the original
 			small, sdiffs = pr.p, diffs
 		}
-		t.Errorf("pair event↔lockstep: bit-identity violated; minimal reproducer: %v", small)
+		t.Errorf("pair replay-off↔replay-on: bit-identity violated; minimal reproducer: %v", small)
 		for _, d := range sdiffs {
 			t.Errorf("  %s", d)
 		}

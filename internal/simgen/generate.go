@@ -1,12 +1,14 @@
 // Package simgen samples the simulator's configuration space: it turns a
 // seed into a complete, valid sim.Config spanning every device profile,
 // controller family, power-trace shape, checkpoint policy and buffer size
-// the repository ships. The three-way differential oracle runs each sampled
-// config through all three engines: fixed↔event must agree within
-// Tolerance(), and event↔lockstep must be bit-identical (empty tolerance,
-// see sim.Lockstep); the fuzz target FuzzParams drives the same sampler from
-// arbitrary bytes; and Shrink supports minimizing a failing configuration
-// to its smallest still-failing neighbour.
+// the repository ships. The differential oracle runs each sampled config
+// through both time-advance loops and both sides of the crawl replay:
+// fixed↔event must agree within Tolerance(), and the event-driven stepper
+// with its replay on (checks off) must be bit-identical to it with the
+// replay off (checks on; see sim.EventDriven); the fuzz target FuzzParams
+// drives the same sampler from arbitrary bytes; and Shrink supports
+// minimizing a failing configuration to its smallest still-failing
+// neighbour.
 //
 // Params uses small integer knobs (indices and integer-scaled physical
 // quantities) rather than raw floats so that (a) a failing config prints
@@ -341,9 +343,9 @@ func (p Params) Run(engine sim.EngineKind) (metrics.Results, error) {
 }
 
 // RunUnchecked is Run with the invariant checker disabled (sim.ChecksOff) —
-// the configuration under which the lockstep engine's crawl replay engages
-// (any registered observer forces the per-segment path). The three-way
-// differential oracle uses it for the lockstep arm so the comparison
+// the configuration under which the event-driven stepper's crawl replay
+// engages (any registered observer forces the per-segment path). The
+// differential oracle uses it for the replay-on arm so the comparison
 // exercises the fast path it certifies; the accounting identities are still
 // verified by the engine's own end-of-run Results.Check.
 func (p Params) RunUnchecked(engine sim.EngineKind) (metrics.Results, error) {
