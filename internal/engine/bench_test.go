@@ -11,9 +11,8 @@ import (
 
 // benchEngineRun measures end-to-end runs of the shared benchmark workload:
 // a duty-cycled square-wave harvest over 20 interesting events (460
-// simulated seconds), the same scenario (including per-iteration app,
-// controller, and machine construction) BENCH_engine.json's pre-refactor
-// baseline was recorded with. Only the given observers are registered, so
+// simulated seconds), including per-iteration app, controller, and machine
+// construction. Only the given observers are registered, so
 // with none this is the bare machine + stepper hot path.
 func benchEngineRun(b *testing.B, s Stepper, obs ...Observer) {
 	prof := device.Apollo4()

@@ -13,8 +13,7 @@ import (
 // transitions and capture activity, both of which pass through logf call
 // sites. The obs layer lives outside this package (internal/obs imports
 // engine), so "disabled" here is the nil pipeline those flags leave behind;
-// the enabled path's cost is measured by BenchmarkObs* in internal/obs and
-// recorded in BENCH_obs.json.
+// the enabled path's cost is measured by BenchmarkObs* in internal/obs.
 func TestObsDisabledZeroAlloc(t *testing.T) {
 	cfg := testConfig(t, nil, nil)
 	// Events drive arrivals, scheduling, classification and transmission —

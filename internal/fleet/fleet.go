@@ -116,7 +116,7 @@ type RunStats struct {
 	ElapsedSec    float64       `json:"elapsed_sec"`
 	DevicesPerSec float64       `json:"devices_per_sec"`
 	// PeakHeapBytes is the largest runtime.MemStats.HeapAlloc observed at
-	// fold points — the bounded-RSS evidence BENCH_fleet.json records.
+	// fold points — the bounded-RSS evidence quetzalsim -json prints.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 }
 

@@ -208,8 +208,8 @@ func TestFleetSolarOrderInvariance(t *testing.T) {
 // hardware-realism layer: a faulty fleet (transient faults, dropouts,
 // measurement cost) must stay byte-identical across shard sizes and worker
 // counts, which requires every fault draw to derive from the split fault
-// stream (StreamFaults) and not from shard-local state. The CI faults-smoke
-// job runs the same check at 10k devices.
+// stream (StreamFaults) and not from shard-local state. The CI smoke job
+// runs the same check at 10k devices.
 func TestFleetFaultyShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet determinism sweep is seconds-long")

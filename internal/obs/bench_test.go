@@ -17,8 +17,8 @@ import (
 // benchmark workload from internal/engine/bench_test.go (Apollo4, NoAdapt,
 // 20 interesting events over 460 simulated seconds, duty-cycled square
 // wave), with invariant checks off so the obs delta is not buried under the
-// checker. mutate attaches the sinks under test; BENCH_obs.json records the
-// disabled/metrics/trace numbers next to BENCH_engine.json's baseline.
+// checker. mutate attaches the sinks under test; the disabled variant is
+// the baseline the enabled sinks' cost is read against.
 func benchObsRun(b *testing.B, mutate func(*sim.Config)) {
 	prof := device.Apollo4()
 	events := &trace.EventTrace{}

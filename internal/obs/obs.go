@@ -7,7 +7,7 @@
 // The layer is strictly opt-in and provably cheap when off: nothing in
 // internal/engine references this package, so a run with no obs sinks pays
 // the engine's bare observer pipeline (zero allocations in steady state,
-// pinned by engine.TestObsDisabledZeroAlloc and measured in BENCH_obs.json).
+// pinned by engine.TestObsDisabledZeroAlloc).
 // When enabled, the trace exporter consumes the same event-log stream the
 // golden-trace regression fingerprints, so exports are deterministic and
 // themselves pinned by sha256 fixtures (internal/sim/golden_trace_test.go).

@@ -82,19 +82,20 @@ func NewEnSuRe(app *model.App, capturePeriod float64, k int) (*EnSuRe, error) {
 	}, nil
 }
 
-// Name implements Strategy.
+// Name implements core.Controller.
 func (e *EnSuRe) Name() string { return EnSuReName }
 
-// ObserveCapture implements Strategy.
+// ObserveCapture implements core.Controller.
 func (e *EnSuRe) ObserveCapture(stored bool) { e.arrival.Observe(stored) }
 
-// Feedback implements Strategy (deadlines are re-derived every decision).
-func (e *EnSuRe) Feedback(core.Feedback) {}
+// OnJobComplete implements core.Controller (deadlines are re-derived every
+// decision).
+func (e *EnSuRe) OnJobComplete(core.Feedback) {}
 
-// DecisionCost implements Strategy: one ratio per task (the service
+// RatioOps implements core.Controller: one ratio per task (the service
 // estimates) plus one per pending input (the deadline sort is comparisons,
 // the window arithmetic one multiply-add each).
-func (e *EnSuRe) DecisionCost() (int, bool) {
+func (e *EnSuRe) RatioOps() (int, bool) {
 	n := 0
 	for _, j := range e.app.Jobs {
 		n += len(j.Tasks)
@@ -102,9 +103,14 @@ func (e *EnSuRe) DecisionCost() (int, bool) {
 	return n + e.k, false
 }
 
-// Decide implements Strategy: earliest pseudo-deadline first, degraded
+// ReplaySensitive implements core.ReplaySensitive: decisions read only the
+// arrival rate and input power, never the store level, so the crawl replay
+// may stay engaged.
+func (e *EnSuRe) ReplaySensitive() bool { return false }
+
+// NextJob implements core.Controller: earliest pseudo-deadline first, degraded
 // once the primary would run into its backup window.
-func (e *EnSuRe) Decide(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
+func (e *EnSuRe) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
 	n := buf.Len()
 	if n == 0 {
 		return core.Decision{BufferIndex: -1, JobID: -1}, false

@@ -35,18 +35,18 @@ func NewInterweave(app *model.App) (*Interweave, error) {
 	return &Interweave{app: app}, nil
 }
 
-// Name implements Strategy.
+// Name implements core.Controller.
 func (w *Interweave) Name() string { return InterweaveName }
 
-// ObserveCapture implements Strategy (the interweaver is stateless).
+// ObserveCapture implements core.Controller (the interweaver is stateless).
 func (w *Interweave) ObserveCapture(bool) {}
 
-// Feedback implements Strategy.
-func (w *Interweave) Feedback(core.Feedback) {}
+// OnJobComplete implements core.Controller.
+func (w *Interweave) OnJobComplete(core.Feedback) {}
 
-// DecisionCost implements Strategy: the scan computes one service/energy
+// RatioOps implements core.Controller: the scan computes one service/energy
 // estimate per (job, option) pair.
-func (w *Interweave) DecisionCost() (int, bool) {
+func (w *Interweave) RatioOps() (int, bool) {
 	n := 0
 	for _, j := range w.app.Jobs {
 		_, nOpts := degradableOptions(j)
@@ -59,8 +59,8 @@ func (w *Interweave) DecisionCost() (int, bool) {
 // store level, which the lockstep crawl-regime classifier does not freeze.
 func (w *Interweave) ReplaySensitive() bool { return true }
 
-// Decide implements Strategy.
-func (w *Interweave) Decide(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
+// NextJob implements core.Controller.
+func (w *Interweave) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
 	n := buf.Len()
 	if n == 0 {
 		return core.Decision{BufferIndex: -1, JobID: -1}, false

@@ -80,21 +80,21 @@ func NewMDP(app *model.App, capturePeriod float64) (*MDP, error) {
 	}, nil
 }
 
-// Name implements Strategy.
+// Name implements core.Controller.
 func (m *MDP) Name() string { return MDPName }
 
-// ObserveCapture implements Strategy.
+// ObserveCapture implements core.Controller.
 func (m *MDP) ObserveCapture(stored bool) { m.arrival.Observe(stored) }
 
-// Feedback implements Strategy (the value function is model-based, not
-// learned from feedback).
-func (m *MDP) Feedback(core.Feedback) {}
+// OnJobComplete implements core.Controller (the value function is
+// model-based, not learned from feedback).
+func (m *MDP) OnJobComplete(core.Feedback) {}
 
-// DecisionCost implements Strategy: the FCFS scan plus the state lookup is
+// RatioOps implements core.Controller: the FCFS scan plus the state lookup is
 // one ratio per task plus one per option of the degradable task — the same
 // order as the Quetzal runtime; the value-iteration itself is memoized per
 // quantized (power, λ) cell and amortizes to noise.
-func (m *MDP) DecisionCost() (int, bool) {
+func (m *MDP) RatioOps() (int, bool) {
 	n, maxOpts := 0, 0
 	for _, j := range m.app.Jobs {
 		n += len(j.Tasks)
@@ -109,8 +109,8 @@ func (m *MDP) DecisionCost() (int, bool) {
 // store level, which the lockstep crawl-regime classifier does not freeze.
 func (m *MDP) ReplaySensitive() bool { return true }
 
-// Decide implements Strategy.
-func (m *MDP) Decide(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
+// NextJob implements core.Controller.
+func (m *MDP) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
 	if buf.Len() == 0 {
 		return core.Decision{BufferIndex: -1, JobID: -1}, false
 	}

@@ -1,79 +1,18 @@
-// Package policy is the controller registry and strategy layer: every
-// decision-making "brain" the simulator can drive — the Quetzal runtime
-// (Algorithms 1/2), its estimator/scheduling/ablation variants, the paper's
-// comparison baselines, and the post-paper competitor strategies (MDP
-// value iteration, EnSuRe backup windows, greedy interweaving) — is
-// constructed through one deterministic name registry.
+// Package policy is the controller registry: every decision-making "brain"
+// the simulator can drive — the Quetzal runtime (Algorithms 1/2), its
+// estimator/scheduling/ablation variants, the paper's comparison
+// baselines, and the post-paper competitor strategies (MDP value
+// iteration, EnSuRe backup windows, greedy interweaving) — is constructed
+// through one deterministic name registry.
 //
-// Two kinds of entry coexist:
-//
-//   - Wrapped existing controllers: the registry builds core.Runtime and
-//     internal/baseline controllers exactly as the experiment harness always
-//     did (the quetzal entries return the unwrapped *core.Runtime, which the
-//     engine type-asserts for PID event-log lines — golden traces depend on
-//     it).
-//   - Strategies: new brains implement the small Strategy interface below
-//     and are adapted to core.Controller by Adapt. A Strategy makes the
-//     scheduling decision (which buffered input) and the degradation/
-//     clearing decision (which quality option per task) in one Decide call,
-//     and declares its per-decision energy charge through DecisionCost.
+// Every entry builds a core.Controller directly. The quetzal entries return
+// the unwrapped *core.Runtime, which the engine type-asserts for PID
+// event-log lines (golden traces depend on it); the competitors implement
+// core.Controller themselves and declare their per-decision energy charge
+// through RatioOps.
 //
 // The registry is the single source of policy names: experiments.Setup,
 // engine.Config.Policy, simgen's generated dimension, the fleet layer and
 // the KeySpec/FleetSpec validation gates all resolve through it, so adding
 // a brain here makes it reachable from every harness surface at once.
 package policy
-
-import (
-	"quetzal/internal/buffer"
-	"quetzal/internal/core"
-)
-
-// Strategy is the interface new policies implement. It mirrors
-// core.Controller but folds the scheduling and degradation decisions into
-// one call and names the decision's energy cost explicitly; Adapt turns a
-// Strategy into a core.Controller the engine can drive.
-type Strategy interface {
-	Name() string
-	// Decide combines the scheduling decision (which buffered input runs
-	// next) with the degradation/clearing decision (the per-task option
-	// assignment). ok is false when nothing is runnable.
-	Decide(env core.Env, buf *buffer.Buffer) (core.Decision, bool)
-	// ObserveCapture records whether a captured frame was stored, feeding
-	// arrival-rate trackers.
-	ObserveCapture(stored bool)
-	// Feedback reports a completed job execution.
-	Feedback(fb core.Feedback)
-	// DecisionCost is the per-decision energy charge, expressed in the same
-	// units core.Controller.RatioOps uses: equivalent P_exe/P_in ratio
-	// computations per Decide call, and whether the hardware module
-	// performs them. The host charges the corresponding time and energy
-	// before every invocation.
-	DecisionCost() (ops int, usesModule bool)
-}
-
-// adapted wraps a Strategy as a core.Controller.
-type adapted struct{ s Strategy }
-
-// Adapt turns a Strategy into a core.Controller.
-func Adapt(s Strategy) core.Controller { return adapted{s} }
-
-func (a adapted) Name() string { return a.s.Name() }
-
-func (a adapted) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
-	return a.s.Decide(env, buf)
-}
-
-func (a adapted) ObserveCapture(stored bool) { a.s.ObserveCapture(stored) }
-
-func (a adapted) OnJobComplete(fb core.Feedback) { a.s.Feedback(fb) }
-
-func (a adapted) RatioOps() (int, bool) { return a.s.DecisionCost() }
-
-// ReplaySensitive forwards the strategy's marker (see core.ReplaySensitive):
-// the lockstep crawl replay must not engage for strategies whose decisions
-// read state the crawl-regime classifier does not freeze.
-func (a adapted) ReplaySensitive() bool {
-	rs, ok := a.s.(core.ReplaySensitive)
-	return ok && rs.ReplaySensitive()
-}

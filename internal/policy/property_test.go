@@ -177,7 +177,7 @@ func TestInterweaveNeverIdles(t *testing.T) {
 			StoreEnergy:   rng.Float64() * 0.01 * float64(rng.Intn(2)), // often exactly 0
 			StoreCapacity: 0.01,
 		}
-		dec, ok := w.Decide(env, buf)
+		dec, ok := w.NextJob(env, buf)
 		if !ok {
 			t.Fatalf("trial %d: idle with %d runnable captures pending (store %g J)",
 				trial, buf.Len(), env.StoreEnergy)
@@ -196,7 +196,7 @@ func TestInterweaveNeverIdles(t *testing.T) {
 	}
 
 	// The empty buffer is the one legitimate idle.
-	if _, ok := w.Decide(core.Env{BufferCap: 4}, buffer.New(4)); ok {
-		t.Fatal("Decide on an empty buffer returned ok")
+	if _, ok := w.NextJob(core.Env{BufferCap: 4}, buffer.New(4)); ok {
+		t.Fatal("NextJob on an empty buffer returned ok")
 	}
 }

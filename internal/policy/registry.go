@@ -29,7 +29,7 @@ const (
 	PZI            = "pzi"
 	Ideal          = "ideal" // NoAdapt with an effectively infinite buffer
 
-	// Competitor strategies (post-paper, implemented against Strategy).
+	// Competitor strategies (post-paper, each a core.Controller).
 	MDPName        = "mdp"        // finite-horizon value iteration (arXiv 2510.23820 family)
 	EnSuReName     = "ensure"     // k-fault backup-window scheduling (EnSuRe)
 	InterweaveName = "interweave" // greedy throughput interweaving (arXiv 2212.07002 family)
@@ -139,29 +139,13 @@ var registry = []Spec{
 		BufferCapacity: IdealBufferCapacity,
 		Build:          func(ctx Context) (core.Controller, error) { return baseline.NoAdapt(ctx.App) }},
 	{Name: MDPName, Doc: "finite-horizon value iteration over quantized store × buffer occupancy",
-		Build: func(ctx Context) (core.Controller, error) {
-			s, err := NewMDP(ctx.App, ctx.capturePeriod())
-			if err != nil {
-				return nil, err
-			}
-			return Adapt(s), nil
-		}},
+		Build: func(ctx Context) (core.Controller, error) { return NewMDP(ctx.App, ctx.capturePeriod()) }},
 	{Name: EnSuReName, Doc: "k-fault backup-window scheduling: deadline-sorted with reserved re-execution slack",
 		Build: func(ctx Context) (core.Controller, error) {
-			s, err := NewEnSuRe(ctx.App, ctx.capturePeriod(), DefaultEnSuReFaults)
-			if err != nil {
-				return nil, err
-			}
-			return Adapt(s), nil
+			return NewEnSuRe(ctx.App, ctx.capturePeriod(), DefaultEnSuReFaults)
 		}},
 	{Name: InterweaveName, Doc: "greedy throughput interweaver: min-service-time capture, never idles",
-		Build: func(ctx Context) (core.Controller, error) {
-			s, err := NewInterweave(ctx.App)
-			if err != nil {
-				return nil, err
-			}
-			return Adapt(s), nil
-		}},
+		Build: func(ctx Context) (core.Controller, error) { return NewInterweave(ctx.App) }},
 }
 
 // Names returns every non-parameterized registered policy name in the

@@ -143,8 +143,8 @@ func TestFixedThresholdRoundTrip(t *testing.T) {
 }
 
 // TestReplaySensitivity pins which strategies opt out of the lockstep crawl
-// replay: the store-reading ones must, EnSuRe (λ- and pin-driven only) must
-// not, and the adapter must forward the marker faithfully.
+// replay: the store-reading ones must, and EnSuRe (λ- and pin-driven only)
+// must not.
 func TestReplaySensitivity(t *testing.T) {
 	cases := []struct {
 		id   string

@@ -229,6 +229,44 @@ func TestTwoReplicaRaceReconciles(t *testing.T) {
 	}
 }
 
+// TestClaimWinnerRechecksStore pins the lookup→claim interleaving closed:
+// replica A misses the store, and before A takes the claim replica B runs
+// the same key to completion (publishes, releases its claim). A then wins
+// the claim, and must serve B's record instead of simulating the key again.
+func TestClaimWinnerRechecksStore(t *testing.T) {
+	dir := t.TempDir()
+	a := newReplica(t, dir, 0, Config{})
+	b := newReplica(t, dir, 0, Config{})
+	const body = `{"system":"qz","env":"crowded","events":7}`
+	var hooked atomic.Int64
+	a.srv.beforeClaim = func(string) {
+		hooked.Add(1)
+		postJSONQuiet(b.ts, "/v1/run", body)
+	}
+
+	resp, out := postJSON(t, a.ts, "/v1/run", body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(out, StatusDone) {
+		t.Fatalf("run on A = %d %s", resp.StatusCode, out)
+	}
+	if n := hooked.Load(); n != 1 {
+		t.Fatalf("hook ran %d times, want 1", n)
+	}
+	if n := b.sims.Load(); n != 1 {
+		t.Fatalf("B simulated %d times inside the hook, want 1", n)
+	}
+	if n := a.sims.Load(); n != 0 {
+		t.Fatalf("A simulated a key B had already published (%d runs)", n)
+	}
+	simsA, hitsA := reconcile(t, "A", a)
+	if simsA != 0 || hitsA != 1 {
+		t.Fatalf("A: sims=%d store hits=%d, want 0/1", simsA, hitsA)
+	}
+	reconcile(t, "B", b)
+	if puts := a.srv.mStorePuts.Value(); puts != 0 {
+		t.Fatalf("A published %d records, want 0", puts)
+	}
+}
+
 // TestWarmRestartServesFromDisk pins the recovery story end to end: compute
 // on one server, tear the whole process-equivalent down (Close the store,
 // drop the server), open a brand-new replica on the directory, and demand

@@ -198,6 +198,11 @@ type Server struct {
 	mStoreMisses      *obs.Counter
 	mStorePuts        *obs.Counter
 	mStoreClaimLosses *obs.Counter
+
+	// beforeClaim, when set, runs between withStore's first lookup miss and
+	// its claim. Tests use it to interleave another replica there; it is
+	// nil in production.
+	beforeClaim func(id string)
 }
 
 // New builds a Server around cfg.
@@ -264,6 +269,8 @@ func runID(key experiments.RunKey) string {
 }
 
 // remember upserts a record, evicting the oldest entries beyond MaxRecords.
+// An evicted key's result is dropped from the pool's memo too, so
+// MaxRecords bounds the results the server holds, not just the index.
 // A completed record is never downgraded back to running by a late
 // duplicate request.
 func (s *Server) remember(id string, upd record) {
@@ -280,6 +287,7 @@ func (s *Server) remember(id string, upd record) {
 	s.records[id] = &r
 	s.order = append(s.order, id)
 	for len(s.order) > s.cfg.MaxRecords {
+		s.pool.Forget(s.records[s.order[0]].Key)
 		delete(s.records, s.order[0])
 		s.order = s.order[1:]
 	}

@@ -301,6 +301,7 @@ func TestGetRunLifecycle(t *testing.T) {
 
 func TestRecordEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxRecords: 3})
+	const firstBody = `{"system":"qz","env":"crowded","events":1}`
 	var firstID string
 	for i := 0; i < 5; i++ {
 		_, body := postJSON(t, ts, "/v1/run",
@@ -313,6 +314,18 @@ func TestRecordEviction(t *testing.T) {
 			firstID = out.ID
 		}
 	}
+	// Eviction frees the result as well as the index entry: the pool no
+	// longer memoizes the first key, so re-posting it executes it again.
+	firstKey, err := experiments.KeySpec{System: "qz", Env: "crowded", Events: 1}.RunKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runID(firstKey) != firstID {
+		t.Fatalf("first key id %s, POST returned %s", runID(firstKey), firstID)
+	}
+	if s.pool.Known(firstKey) {
+		t.Fatal("evicted key's result is still memoized in the pool")
+	}
 	if resp, _ := get(t, ts, "/v1/runs/"+firstID); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted record still served: %d", resp.StatusCode)
 	}
@@ -321,6 +334,13 @@ func TestRecordEviction(t *testing.T) {
 	s.mu.Unlock()
 	if n != 3 {
 		t.Fatalf("record index holds %d entries, want 3", n)
+	}
+	if resp, body := postJSON(t, ts, "/v1/run", firstBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-POST of evicted key = %d %s", resp.StatusCode, body)
+	}
+	if l := s.Ledger(); l.Executed != 6 || l.CacheHits != 0 {
+		t.Fatalf("ledger executed=%d cache hits=%d, want 6/0 (evicted key must re-execute)",
+			l.Executed, l.CacheHits)
 	}
 }
 

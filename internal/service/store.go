@@ -5,7 +5,9 @@ package service
 // the shared store plays the same role with no coordination service:
 //
 //	1. consult the store — a hit is served from disk, byte-authentic;
-//	2. take the O_EXCL claim file — the winner simulates and publishes;
+//	2. take the O_EXCL claim file — the winner looks the store up again
+//	   (another replica may have published and released between step 1
+//	   and the claim), then simulates and publishes;
 //	3. a loser polls for the winner's record (bounded by StoreClaimWait),
 //	   reclaims if the claim vanishes without a record, and executes
 //	   anyway once the budget is spent — claims are advisory, so a
@@ -36,6 +38,9 @@ func (s *Server) withStore(inner RunFunc) RunFunc {
 			s.mStoreHits.Inc()
 			return res, nil
 		}
+		if s.beforeClaim != nil {
+			s.beforeClaim(id)
+		}
 		execute := func() (metrics.Results, error) {
 			s.mStoreMisses.Inc()
 			res, err := inner(ctx, key)
@@ -48,6 +53,15 @@ func (s *Server) withStore(inner RunFunc) RunFunc {
 		for {
 			won, release := st.Claim(id)
 			if won {
+				// Has peeks without moving the store's miss counter; only a
+				// record that is really there is read back.
+				if st.Has(id) {
+					if res, ok := s.storeLookup(id); ok {
+						release()
+						s.mStoreHits.Inc()
+						return res, nil
+					}
+				}
 				res, err := execute()
 				release() // after Put: a loser that sees the claim gone sees the record
 				return res, err
