@@ -51,7 +51,8 @@ type Buffer struct {
 	items    []Input
 	capacity int
 	drops    DropStats
-	wasFull  bool // tracks overflow episode boundaries
+	wasFull  bool  // tracks overflow episode boundaries
+	jobIDs   []int // JobIDs' reused result
 }
 
 // New returns an empty buffer with the given capacity in inputs.
@@ -169,16 +170,21 @@ func (b *Buffer) PendingForJob(jobID int) int {
 }
 
 // JobIDs returns the distinct JobIDs with at least one pending input, in
-// first-seen (FIFO) order.
+// first-seen (FIFO) order. The slice is the buffer's own and is valid until
+// the next JobIDs call. Apps have a handful of jobs, so a linear scan of the
+// IDs found so far beats a set.
 func (b *Buffer) JobIDs() []int {
-	var ids []int
-	seen := map[int]bool{}
+	ids := b.jobIDs[:0]
+next:
 	for _, in := range b.items {
-		if !seen[in.JobID] {
-			seen[in.JobID] = true
-			ids = append(ids, in.JobID)
+		for _, id := range ids {
+			if id == in.JobID {
+				continue next
+			}
 		}
+		ids = append(ids, in.JobID)
 	}
+	b.jobIDs = ids
 	return ids
 }
 

@@ -44,10 +44,13 @@ type Env struct {
 // Decision tells the host which buffered input to process next and at what
 // quality.
 type Decision struct {
-	BufferIndex int   // index into the buffer; -1 when idle
-	JobID       int   // job that will run
-	Options     []int // per-task option indices for this execution
-	PredictedS  float64
+	BufferIndex int // index into the buffer; -1 when idle
+	JobID       int // job that will run
+	// Options holds the per-task option indices for this execution.
+	// core.Runtime reuses one slice for every decision, so it is valid only
+	// until the next NextJob call; hosts copy what they keep.
+	Options    []int
+	PredictedS float64
 	// ModelS is the uncorrected model estimate of E[S] for the chosen
 	// quality. Feedback must compare observations against this raw value,
 	// not PredictedS: folding the PID output into its own reference would
@@ -165,15 +168,23 @@ type Runtime struct {
 	app    *model.App
 	policy sched.Policy
 
-	module   *circuit.Module
-	seTables map[int][][]circuit.SeTable // jobID → task → option
-	d1       uint8                       // latest input-power ADC code
-	pin      float64                     // latest input power (exact path)
+	module *circuit.Module
+	d1     uint8   // latest input-power ADC code
+	pin    float64 // latest input power (exact path)
 
-	probs   map[int][]*window.ProbTracker // jobID → per-task tracker
-	spawns  map[int]*window.ProbTracker   // jobID → spawn-probability tracker
+	// Per-job tables, indexed by job position in app.Jobs.
+	seTables [][][]circuit.SeTable   // task → option
+	probs    [][]*window.ProbTracker // per-task execution trackers
+	spawns   []*window.ProbTracker   // spawn-probability tracker; nil if none
+
 	arrival *window.RateTracker
 	ctrl    *pid.Controller
+
+	// Built once so that NextJob allocates nothing.
+	est       sched.Estimator
+	spawnProb func(jobID int) float64
+	options   []int // backing for Decision.Options
+	ibo       ibo.Scratch
 
 	// Averaged-S_e2e state: EWMA of observed per-task service time.
 	avg map[[2]int]float64 // (jobID, taskIdx) → EWMA seconds
@@ -210,22 +221,26 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.PID = pid.DefaultConfig()
 	}
 
+	n := len(cfg.App.Jobs)
 	r := &Runtime{
 		cfg:      cfg,
 		app:      cfg.App,
 		policy:   cfg.Policy,
 		module:   circuit.New(cfg.Circuit),
-		seTables: map[int][][]circuit.SeTable{},
-		probs:    map[int][]*window.ProbTracker{},
-		spawns:   map[int]*window.ProbTracker{},
+		seTables: make([][][]circuit.SeTable, n),
+		probs:    make([][]*window.ProbTracker, n),
+		spawns:   make([]*window.ProbTracker, n),
 		arrival:  window.NewRateTracker(cfg.ArrivalWindow, cfg.CapturePeriod, 0.5),
 		ctrl:     pid.New(cfg.PID),
 		avg:      map[[2]int]float64{},
 	}
+	r.est = r.estimator()
+	r.spawnProb = r.SpawnProbability
+	r.options = make([]int, model.MaxTasks) // Validate bounds any job's tasks
 
 	// Profiling phase: record V_D2 (execution-power code) per option and
 	// pre-multiply its t_exe table.
-	for _, job := range cfg.App.Jobs {
+	for pos, job := range cfg.App.Jobs {
 		tables := make([][]circuit.SeTable, len(job.Tasks))
 		trackers := make([]*window.ProbTracker, len(job.Tasks))
 		for ti, task := range job.Tasks {
@@ -239,13 +254,13 @@ func New(cfg Config) (*Runtime, error) {
 			// conservative assumption until history accumulates).
 			trackers[ti] = window.NewProbTracker(cfg.TaskWindow, 1.0)
 		}
-		r.seTables[job.ID] = tables
-		r.probs[job.ID] = trackers
+		r.seTables[pos] = tables
+		r.probs[pos] = trackers
 		if job.SpawnJobID != model.NoSpawn {
 			// Spawn probability starts at the conservative prior 1 (every
 			// completion spawns follow-up work) and converges to the
 			// observed rate.
-			r.spawns[job.ID] = window.NewProbTracker(cfg.TaskWindow, 1.0)
+			r.spawns[pos] = window.NewProbTracker(cfg.TaskWindow, 1.0)
 		}
 	}
 	return r, nil
@@ -272,11 +287,11 @@ func (r *Runtime) SetTemperature(tempC float64) { r.module.SetTemperature(tempC)
 // module's current temperature, restoring the same-temperature error bound
 // of §5.1 after an excursion.
 func (r *Runtime) Reprofile() {
-	for _, job := range r.app.Jobs {
+	for pos, job := range r.app.Jobs {
 		for ti, task := range job.Tasks {
 			for oi, opt := range task.Options {
 				code := r.module.CodeForPower(opt.Pexe)
-				r.seTables[job.ID][ti][oi] = circuit.NewSeTable(opt.Texe, code)
+				r.seTables[pos][ti][oi] = circuit.NewSeTable(opt.Texe, code)
 			}
 		}
 	}
@@ -299,10 +314,21 @@ func (r *Runtime) ObserveCapture(stored bool) { r.arrival.Observe(stored) }
 // SpawnProbability returns the tracked probability that the given job's
 // completion spawns its follow-up job (1 until history accumulates).
 func (r *Runtime) SpawnProbability(jobID int) float64 {
-	if t, ok := r.spawns[jobID]; ok {
-		return t.Probability()
+	if pos := r.position(jobID); pos >= 0 && r.spawns[pos] != nil {
+		return r.spawns[pos].Probability()
 	}
 	return 1
+}
+
+// position returns the index of the job with the given id in app.Jobs, or
+// -1. Apps hold at most model.MaxTasks jobs, and usually two.
+func (r *Runtime) position(jobID int) int {
+	for pos, j := range r.app.Jobs {
+		if j.ID == jobID {
+			return pos
+		}
+	}
+	return -1
 }
 
 // NextJob implements Controller: measure input power, run Energy-aware SJF,
@@ -314,16 +340,17 @@ func (r *Runtime) NextJob(env Env, buf *buffer.Buffer) (Decision, bool) {
 	r.pin = env.InputPower
 	r.d1 = r.module.CodeForPower(env.InputPower)
 
-	est := r.estimator()
-	sd := r.policy.Select(r.app, buf, est)
+	sd := r.policy.Select(r.app, buf, r.est)
 	if sd.BufferIndex < 0 {
 		return Decision{BufferIndex: -1, JobID: -1}, false
 	}
 	job := r.app.JobByID(sd.JobID)
+	options := r.options[:len(job.Tasks)]
+	clear(options)
 	dec := Decision{
 		BufferIndex: sd.BufferIndex,
 		JobID:       sd.JobID,
-		Options:     make([]int, len(job.Tasks)),
+		Options:     options,
 		PredictedS:  sd.ExpectedS,
 		ModelS:      sd.ExpectedS,
 	}
@@ -332,38 +359,38 @@ func (r *Runtime) NextJob(env Env, buf *buffer.Buffer) (Decision, bool) {
 	}
 
 	free := env.BufferCap - env.BufferLen
-	id := ibo.Decide(job, ibo.Input{
+	id := r.ibo.Decide(job, ibo.Input{
 		App:        r.app,
-		Est:        est,
+		Est:        r.est,
 		Lambda:     r.arrival.Lambda(),
 		FreeSlots:  free,
 		Capacity:   env.BufferCap,
 		Correction: r.Correction(),
-		SpawnProb:  r.SpawnProbability,
+		SpawnProb:  r.spawnProb,
 	})
 	dec.IBOPredicted = id.IBOPredicted
 	dec.IBOAverted = id.Averted
 	dec.PredictedS = id.ExpectedS
 	if di := job.DegradableTask(); di >= 0 && id.OptionIdx > 0 {
-		dec.Options[di] = id.OptionIdx
+		options[di] = id.OptionIdx
 		dec.Degraded = true
 	}
-	dec.ModelS = sched.ExpectedService(job, est, func(ti int) int { return dec.Options[ti] })
+	dec.ModelS = sched.ExpectedService(job, r.est, func(ti int) int { return options[ti] })
 	return dec, true
 }
 
 // OnJobComplete implements Controller: update the per-task execution
 // bit-vectors, the PID controller, and the averaged-S_e2e EWMAs.
 func (r *Runtime) OnJobComplete(fb Feedback) {
-	trackers, ok := r.probs[fb.JobID]
-	if !ok {
+	pos := r.position(fb.JobID)
+	if pos < 0 {
 		return
 	}
-	for i, tr := range trackers {
+	for i, tr := range r.probs[pos] {
 		ran := i < len(fb.Executed) && fb.Executed[i]
 		tr.Observe(ran)
 	}
-	if st, ok := r.spawns[fb.JobID]; ok {
+	if st := r.spawns[pos]; st != nil {
 		st.Observe(fb.Spawned)
 	}
 	if !r.cfg.DisablePID && fb.ObservedS > 0 {
@@ -437,11 +464,11 @@ func (r *Runtime) estimator() sched.Estimator {
 type hwEstimator struct{ r *Runtime }
 
 func (e *hwEstimator) Se2e(jobID, taskIdx, optIdx int) float64 {
-	return e.r.seTables[jobID][taskIdx][optIdx].Se2e(e.r.d1)
+	return e.r.seTables[e.r.position(jobID)][taskIdx][optIdx].Se2e(e.r.d1)
 }
 
 func (e *hwEstimator) Probability(jobID, taskIdx int) float64 {
-	return e.r.probs[jobID][taskIdx].Probability()
+	return e.r.probs[e.r.position(jobID)][taskIdx].Probability()
 }
 
 // exactEstimator computes S_e2e with floating-point division.
@@ -453,7 +480,7 @@ func (e *exactEstimator) Se2e(jobID, taskIdx, optIdx int) float64 {
 }
 
 func (e *exactEstimator) Probability(jobID, taskIdx int) float64 {
-	return e.r.probs[jobID][taskIdx].Probability()
+	return e.r.probs[e.r.position(jobID)][taskIdx].Probability()
 }
 
 // avgEstimator ignores input power: past observed service times only.
@@ -471,5 +498,5 @@ func (e *avgEstimator) Se2e(jobID, taskIdx, optIdx int) float64 {
 }
 
 func (e *avgEstimator) Probability(jobID, taskIdx int) float64 {
-	return e.r.probs[jobID][taskIdx].Probability()
+	return e.r.probs[e.r.position(jobID)][taskIdx].Probability()
 }

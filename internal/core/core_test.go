@@ -382,3 +382,42 @@ func TestAveragedEstimatorScalesOptionsByTexe(t *testing.T) {
 		t.Errorf("avg option scaling = %g, want ≈ %g", got, wantRatio)
 	}
 }
+
+// TestNextJobZeroAlloc guards the decision path's allocation budget: with a
+// warm buffer holding inputs for both jobs, NextJob on the hardware-module
+// path allocates nothing, whether the IBO engine stays quiet (high power,
+// occupancy under the utilization gate) or resolves a degrading chain-wide
+// plan (low power, half-full buffer).
+func TestNextJobZeroAlloc(t *testing.T) {
+	r := newRuntime(t, nil)
+	buf := buffer.New(10)
+	for i := 0; i < 5; i++ {
+		job := device.DetectJobID
+		if i%2 == 1 {
+			job = device.ReportJobID
+		}
+		buf.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: job}, false)
+	}
+	for i := 0; i < 64; i++ {
+		r.ObserveCapture(true) // λ = 1/s
+	}
+	for _, tc := range []struct {
+		name      string
+		power     float64
+		bufferLen int
+		predicts  bool
+	}{
+		{"quiet", 0.05, 1, false},
+		{"degrading", 0.001, buf.Len(), true},
+	} {
+		env := Env{Now: 10, InputPower: tc.power, BufferLen: tc.bufferLen, BufferCap: buf.Capacity()}
+		dec, ok := r.NextJob(env, buf)
+		if !ok || dec.IBOPredicted != tc.predicts {
+			t.Fatalf("%s: decision %+v (ok %v), want IBOPredicted %v", tc.name, dec, ok, tc.predicts)
+		}
+		allocs := testing.AllocsPerRun(1000, func() { r.NextJob(env, buf) })
+		if allocs != 0 {
+			t.Errorf("%s: NextJob allocates %.2f per call, want 0", tc.name, allocs)
+		}
+	}
+}

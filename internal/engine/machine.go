@@ -12,6 +12,7 @@ import (
 	"quetzal/internal/invariant"
 	"quetzal/internal/metrics"
 	"quetzal/internal/model"
+	"quetzal/internal/randsrc"
 )
 
 // Machine is the pure device state machine: the simulated sensor node (energy
@@ -163,7 +164,7 @@ func New(cfg Config) (*Machine, error) {
 		ctl:   cfg.Controller,
 		store: energy.NewStore(cfg.Store),
 		buf:   buffer.New(cfg.BufferCapacity),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   randsrc.New(cfg.Seed),
 		wasOn: true,
 	}
 	m.res.System = cfg.Controller.Name()

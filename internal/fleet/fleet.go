@@ -17,13 +17,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"time"
 
 	"quetzal/internal/energy"
 	"quetzal/internal/experiments"
 	"quetzal/internal/metrics"
+	"quetzal/internal/randsrc"
 	"quetzal/internal/runner"
 	"quetzal/internal/sim"
 	"quetzal/internal/trace"
@@ -182,7 +182,7 @@ func (f *fleetRun) deviceConfig(i int) (sim.Config, error) {
 	// jitter stream (always consumed, so adding a parameter later shifts
 	// nothing before it, and jitter=0 devices share streams with jittered
 	// ones).
-	jr := rand.New(rand.NewSource(DeviceSeed(plan.Seed, i, StreamJitter)))
+	jr := randsrc.New(DeviceSeed(plan.Seed, i, StreamJitter))
 	uPeriod := 2*jr.Float64() - 1
 	uCap := 2*jr.Float64() - 1
 	uBuf := 2*jr.Float64() - 1

@@ -31,11 +31,15 @@
 // exactly the "degrade only as much as required" contract of §4.2. If no
 // assignment stabilises the queue, every job runs its lowest-S_e2e option
 // "in order to reduce E[N]".
+//
+// A decision runs on every scheduling point, so it allocates nothing: a
+// Scratch holds the per-app tables (spawn edges, the leaves-first order)
+// and the per-call ones (reach probabilities, E[S] per job and option, the
+// plan), all indexed by job position in App.Jobs.
 package ibo
 
 import (
 	"quetzal/internal/model"
-	"quetzal/internal/queueing"
 	"quetzal/internal/sched"
 )
 
@@ -74,75 +78,85 @@ type Decision struct {
 	// ExpectedS is the scheduled job's E[S] at the chosen quality,
 	// including the PID correction.
 	ExpectedS float64
-	// Plan is the chain-wide quality assignment (jobID → option index for
-	// that job's degradable task).
-	Plan map[int]int
 }
 
-// Decide runs the engine for the scheduled job.
-func Decide(job *model.Job, in Input) Decision {
-	plan, _ := resolvePlan(in)
+// Scratch is the engine's reusable working memory. The zero value is ready
+// to use. A Scratch serves one goroutine, and the App it last decided for
+// must not change while it is reused.
+type Scratch struct {
+	// Per-app tables, rebuilt when the App changes.
+	app    *model.App
+	spawn  []int // position of each job's spawn target; -1 for none
+	degr   []int // each job's degradable task index; -1 for none
+	order  []int // job positions, spawn targets before their spawners
+	entry  int   // position of the entry job; -1 if it is missing
+	stride int   // memo row width: the most options any task offers
 
-	esBest := jobES(in, job, 0)
-	esPlanned := jobES(in, job, plannedOpt(plan, job))
+	// Per-call tables.
+	gated bool      // occupancy below the utilization gate
+	reach []float64 // probability an arriving input needs each job
+	plan  []int     // option per job for its degradable task
+	es    []float64 // jobES memo, row per job, column per option
+	known []bool    // which es entries are filled
+}
 
-	d := Decision{
-		OptionIdx: plannedOpt(plan, job),
-		ExpectedS: esPlanned,
-		Plan:      plan,
-	}
+// Decide runs the engine for the scheduled job, which must be one of
+// in.App.Jobs.
+func (s *Scratch) Decide(job *model.Job, in Input) Decision {
+	fullOK, _ := s.resolvePlan(&in)
+	pos := s.position(job)
 
-	bestOverflow := burstOverflow(in, esBest) || !utilizationOK(in, assignment{})
-	if !bestOverflow {
+	esBest := s.jobES(&in, pos, 0)
+	if !burstOverflow(&in, esBest) && fullOK {
 		// No overflow at full quality: run the job undegraded.
-		d.OptionIdx = 0
+		return Decision{ExpectedS: esBest}
+	}
+	d := Decision{IBOPredicted: true}
+
+	di := s.degr[pos]
+	if di < 0 {
+		// No degradable task: the prediction stands, quality is fixed.
 		d.ExpectedS = esBest
-		d.Plan = map[int]int{}
 		return d
 	}
-	d.IBOPredicted = true
-
 	// Escalate the scheduled job past the planned option until the burst
 	// check clears, preferring the highest quality that does.
-	di := job.DegradableTask()
-	if di >= 0 {
-		for opt := d.OptionIdx; opt < len(job.Tasks[di].Options); opt++ {
-			es := jobES(in, job, opt)
-			if !burstOverflow(in, es) {
-				d.OptionIdx = opt
-				d.ExpectedS = es
-				// The imminent (burst) overflow is averted at this option;
-				// long-run stability is the plan's concern.
-				d.Averted = true
-				return d
-			}
+	for opt := s.plan[pos]; opt < len(job.Tasks[di].Options); opt++ {
+		if es := s.jobES(&in, pos, opt); !burstOverflow(&in, es) {
+			d.OptionIdx = opt
+			d.ExpectedS = es
+			// The imminent (burst) overflow is averted at this option;
+			// long-run stability is the plan's concern.
+			d.Averted = true
+			return d
 		}
-		// Nothing clears the burst check: lowest S_e2e reduces E[N].
-		lowest, lowestES := 0, jobES(in, job, 0)
-		for opt := 1; opt < len(job.Tasks[di].Options); opt++ {
-			if es := jobES(in, job, opt); es < lowestES {
-				lowest, lowestES = opt, es
-			}
-		}
-		d.OptionIdx = lowest
-		d.ExpectedS = lowestES
-		return d
 	}
-	// No degradable task: the prediction stands, quality is fixed.
-	d.OptionIdx = 0
-	d.ExpectedS = esBest
+	// Nothing clears the burst check: lowest S_e2e reduces E[N].
+	d.OptionIdx = s.cheapestOpt(&in, pos)
+	d.ExpectedS = s.jobES(&in, pos, d.OptionIdx)
 	return d
 }
 
 // burstOverflow is Algorithm 2 line 6: λ·E[S] ≥ free slots.
-func burstOverflow(in Input, es float64) bool {
+func burstOverflow(in *Input, es float64) bool {
 	return in.Lambda*es >= float64(in.FreeSlots)
 }
 
-// jobES returns the job's probability-weighted E[S] with its degradable
-// task at option opt, plus the PID correction, clamped non-negative.
-func jobES(in Input, job *model.Job, opt int) float64 {
-	di := job.DegradableTask()
+// jobES returns the E[S] of the job at position pos with its degradable
+// task at option opt, memoized for the current call.
+func (s *Scratch) jobES(in *Input, pos, opt int) float64 {
+	k := pos*s.stride + opt
+	if !s.known[k] {
+		s.es[k] = expectedService(in, s.app.Jobs[pos], s.degr[pos], opt)
+		s.known[k] = true
+	}
+	return s.es[k]
+}
+
+// expectedService returns the job's probability-weighted E[S] with its
+// degradable task di at option opt, plus the PID correction, clamped
+// non-negative.
+func expectedService(in *Input, job *model.Job, di, opt int) float64 {
 	es := sched.ExpectedService(job, in.Est, func(ti int) int {
 		if ti == di {
 			return opt
@@ -156,7 +170,7 @@ func jobES(in Input, job *model.Job, opt int) float64 {
 }
 
 // spawnProb returns the tracked spawn probability for a job.
-func (in Input) spawnProb(jobID int) float64 {
+func (in *Input) spawnProb(jobID int) float64 {
 	if in.SpawnProb == nil {
 		return 1
 	}
@@ -170,21 +184,26 @@ func (in Input) spawnProb(jobID int) float64 {
 	return p
 }
 
-// reachProbs computes, for every job, the probability that an arriving
+// reachProbs fills s.reach: for every job, the probability that an arriving
 // input eventually requires it, following spawn edges from the entry job.
-func reachProbs(in Input) map[int]float64 {
-	reach := map[int]float64{in.App.EntryJobID: 1}
+// Zero means unreachable.
+func (s *Scratch) reachProbs(in *Input) {
+	reach := s.reach
+	clear(reach)
+	if s.entry < 0 {
+		return
+	}
+	reach[s.entry] = 1
 	// Spawn chains are acyclic and short; walk until fixpoint.
-	for i := 0; i < len(in.App.Jobs); i++ {
+	for i := 0; i < len(reach); i++ {
 		changed := false
-		for _, j := range in.App.Jobs {
-			r, ok := reach[j.ID]
-			if !ok || j.SpawnJobID == model.NoSpawn {
+		for pos, j := range s.app.Jobs {
+			r, to := reach[pos], s.spawn[pos]
+			if r == 0 || to < 0 {
 				continue
 			}
-			contrib := r * in.spawnProb(j.ID)
-			if contrib > reach[j.SpawnJobID] {
-				reach[j.SpawnJobID] = contrib
+			if contrib := r * in.spawnProb(j.ID); contrib > reach[to] {
+				reach[to] = contrib
 				changed = true
 			}
 		}
@@ -192,119 +211,159 @@ func reachProbs(in Input) map[int]float64 {
 			break
 		}
 	}
-	return reach
 }
 
-// assignment maps jobID → option index for that job's degradable task.
-type assignment map[int]int
-
-func plannedOpt(a assignment, job *model.Job) int {
-	if opt, ok := a[job.ID]; ok {
-		return opt
-	}
-	return 0
-}
-
-// utilization computes ρ = λ · Σ reach(job)·E[S](job@assignment).
-func (in Input) utilization(a assignment) float64 {
-	reach := reachProbs(in)
+// utilization computes ρ = λ · Σ reach(job)·E[S](job@plan), summing in
+// App.Jobs order.
+func (s *Scratch) utilization(in *Input) float64 {
 	total := 0.0
-	for _, j := range in.App.Jobs {
-		r := reach[j.ID]
+	for pos, r := range s.reach {
 		if r == 0 {
 			continue
 		}
-		total += r * jobES(in, j, plannedOpt(a, j))
+		total += r * s.jobES(in, pos, s.plan[pos])
 	}
-	return queueing.Utilization(in.Lambda, total)
+	if in.Lambda < 0 || total < 0 {
+		return 0
+	}
+	return in.Lambda * total
 }
 
-// utilizationOK reports whether the assignment keeps the queue stable.
-// Below the occupancy gate the check passes trivially: the buffer still has
-// slack to absorb a finite burst even if ρ ≥ 1.
-func utilizationOK(in Input, a assignment) bool {
-	occupancy := in.Capacity - in.FreeSlots
-	if in.Capacity > 0 && occupancy*5 < in.Capacity {
-		return true
-	}
-	return in.utilization(a) < 1
+// stable reports whether the current plan keeps the queue stable. Below the
+// occupancy gate the check passes trivially: the buffer still has slack to
+// absorb a finite burst even if ρ ≥ 1.
+func (s *Scratch) stable(in *Input) bool {
+	return s.gated || s.utilization(in) < 1
 }
 
-// resolvePlan picks the chain-wide quality assignment: jobs are visited
-// leaves-first (deepest spawn first) and each takes the highest-quality
-// option that keeps ρ < 1 given what is already resolved. Returns the plan
-// and whether a stable assignment exists; when none does, every degradable
-// job is pinned to its lowest-S_e2e option.
-func resolvePlan(in Input) (assignment, bool) {
-	plan := assignment{}
-	if utilizationOK(in, plan) {
-		return plan, true // full quality is sustainable
+// resolvePlan starts a call on in and picks the chain-wide quality
+// assignment into s.plan: jobs are visited leaves-first (deepest spawn
+// first) and each takes the highest-quality option that keeps ρ < 1 given
+// what is already resolved. fullOK reports that full quality is already
+// stable (the plan is all zeros); ok, that a stable plan exists. When none
+// does, every degradable job is pinned to its lowest-S_e2e option.
+func (s *Scratch) resolvePlan(in *Input) (fullOK, ok bool) {
+	s.begin(in)
+	if s.stable(in) {
+		return true, true // full quality is sustainable
 	}
-
-	order := leavesFirst(in.App)
 	// Start from the most degraded state, then raise each job (leaves
 	// first) to the best quality that keeps the system stable.
-	for _, j := range order {
-		if di := j.DegradableTask(); di >= 0 {
-			plan[j.ID] = cheapestOpt(in, j)
+	for _, pos := range s.order {
+		if s.degr[pos] >= 0 {
+			s.plan[pos] = s.cheapestOpt(in, pos)
 		}
 	}
-	if !utilizationOK(in, plan) {
-		return plan, false // even fully degraded the queue diverges
+	if !s.stable(in) {
+		return false, false // even fully degraded the queue diverges
 	}
-	for _, j := range order {
-		di := j.DegradableTask()
+	for _, pos := range s.order {
+		di := s.degr[pos]
 		if di < 0 {
 			continue
 		}
-		for opt := 0; opt < len(j.Tasks[di].Options); opt++ {
-			trial := assignment{}
-			for k, v := range plan {
-				trial[k] = v
-			}
-			trial[j.ID] = opt
-			if utilizationOK(in, trial) {
-				plan[j.ID] = opt
+		keep := s.plan[pos]
+		for opt := 0; opt < len(s.app.Jobs[pos].Tasks[di].Options); opt++ {
+			s.plan[pos] = opt
+			if s.stable(in) {
+				keep = opt
 				break
 			}
 		}
+		s.plan[pos] = keep
 	}
-	return plan, true
+	return false, true
 }
 
-// cheapestOpt returns the option index minimising the job's E[S].
-func cheapestOpt(in Input, job *model.Job) int {
-	di := job.DegradableTask()
-	best, bestES := 0, jobES(in, job, 0)
-	for opt := 1; opt < len(job.Tasks[di].Options); opt++ {
-		if es := jobES(in, job, opt); es < bestES {
+// cheapestOpt returns the option index minimising the E[S] of the job at
+// position pos, which has a degradable task.
+func (s *Scratch) cheapestOpt(in *Input, pos int) int {
+	n := len(s.app.Jobs[pos].Tasks[s.degr[pos]].Options)
+	best, bestES := 0, s.jobES(in, pos, 0)
+	for opt := 1; opt < n; opt++ {
+		if es := s.jobES(in, pos, opt); es < bestES {
 			best, bestES = opt, es
 		}
 	}
 	return best
 }
 
-// leavesFirst orders jobs so that spawn targets come before their spawners
-// (deepest first), starting from the entry chain; unreachable jobs follow in
-// definition order.
-func leavesFirst(app *model.App) []*model.Job {
-	var order []*model.Job
-	seen := map[int]bool{}
-	var walk func(j *model.Job)
-	walk = func(j *model.Job) {
-		if j == nil || seen[j.ID] {
+// begin binds the Scratch to in.App and resets the per-call tables.
+func (s *Scratch) begin(in *Input) {
+	if s.app != in.App || len(s.spawn) != len(in.App.Jobs) {
+		s.bind(in.App)
+	}
+	occupancy := in.Capacity - in.FreeSlots
+	s.gated = in.Capacity > 0 && occupancy*5 < in.Capacity
+	clear(s.plan)
+	clear(s.known)
+	s.reachProbs(in)
+}
+
+// bind builds the per-app tables and sizes the per-call ones.
+func (s *Scratch) bind(app *model.App) {
+	n := len(app.Jobs)
+	s.app = app
+	s.spawn = make([]int, n)
+	s.degr = make([]int, n)
+	s.stride = 1
+	for pos, j := range app.Jobs {
+		s.spawn[pos] = -1
+		if j.SpawnJobID != model.NoSpawn {
+			s.spawn[pos] = indexOf(app, j.SpawnJobID)
+		}
+		s.degr[pos] = j.DegradableTask()
+		for _, t := range j.Tasks {
+			s.stride = max(s.stride, len(t.Options))
+		}
+	}
+	s.entry = indexOf(app, app.EntryJobID)
+	s.order = leavesFirst(s.spawn, s.entry)
+	s.reach = make([]float64, n)
+	s.plan = make([]int, n)
+	s.es = make([]float64, n*s.stride)
+	s.known = make([]bool, n*s.stride)
+}
+
+// position returns the index of job in the bound App's Jobs.
+func (s *Scratch) position(job *model.Job) int {
+	for pos, j := range s.app.Jobs {
+		if j == job {
+			return pos
+		}
+	}
+	panic("ibo: the scheduled job " + job.Name + " is not one of Input.App.Jobs")
+}
+
+// indexOf returns the position of the job with the given id, or -1.
+func indexOf(app *model.App, id int) int {
+	for pos, j := range app.Jobs {
+		if j.ID == id {
+			return pos
+		}
+	}
+	return -1
+}
+
+// leavesFirst orders job positions so that spawn targets come before their
+// spawners (deepest first), starting from the entry chain; unreachable jobs
+// follow in definition order. spawn gives each job's spawn target position.
+func leavesFirst(spawn []int, entry int) []int {
+	order := make([]int, 0, len(spawn))
+	seen := make([]bool, len(spawn))
+	var walk func(pos int)
+	walk = func(pos int) {
+		if pos < 0 || seen[pos] {
 			return
 		}
-		seen[j.ID] = true
-		if j.SpawnJobID != model.NoSpawn {
-			walk(app.JobByID(j.SpawnJobID))
-		}
+		seen[pos] = true
+		walk(spawn[pos])
 		// Post-order: the spawn target lands before the spawner.
-		order = append(order, j)
+		order = append(order, pos)
 	}
-	walk(app.JobByID(app.EntryJobID))
-	for _, j := range app.Jobs {
-		walk(j)
+	walk(entry)
+	for pos := range spawn {
+		walk(pos)
 	}
 	return order
 }

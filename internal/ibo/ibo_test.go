@@ -54,16 +54,42 @@ func input(app *model.App, est *fakeEstimator, lambda float64, free, capacity in
 	return Input{App: app, Est: est, Lambda: lambda, FreeSlots: free, Capacity: capacity, Correction: corr}
 }
 
+// decide runs the engine on a fresh Scratch.
+func decide(job *model.Job, in Input) Decision { return new(Scratch).Decide(job, in) }
+
+// planOf resolves in's chain-wide plan, keyed by job ID, and whether it is
+// stable.
+func planOf(in Input) (map[int]int, bool) {
+	var s Scratch
+	_, ok := s.resolvePlan(&in)
+	plan := map[int]int{}
+	for pos, j := range in.App.Jobs {
+		plan[j.ID] = s.plan[pos]
+	}
+	return plan, ok
+}
+
+// degraded reports whether the plan lowers any job's quality.
+func degraded(plan map[int]int) bool {
+	for _, opt := range plan {
+		if opt != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func TestNoIBOWhenIdle(t *testing.T) {
 	app := chainApp()
 	est := &fakeEstimator{}
 	// λ tiny, buffer nearly empty: no prediction, highest quality.
-	d := Decide(app.JobByID(0), input(app, est, 0.05, 9, 10, 0))
+	in := input(app, est, 0.05, 9, 10, 0)
+	d := decide(app.JobByID(0), in)
 	if d.IBOPredicted || d.OptionIdx != 0 {
 		t.Errorf("decision = %+v, want no IBO at full quality", d)
 	}
-	if len(d.Plan) != 0 {
-		t.Errorf("plan = %v, want empty (no degradation)", d.Plan)
+	if plan, _ := planOf(in); degraded(plan) {
+		t.Errorf("plan = %v, want full quality (no degradation)", plan)
 	}
 }
 
@@ -75,7 +101,7 @@ func TestBurstCheckBoundaryInclusive(t *testing.T) {
 	// λ·E[S] = 1·6 = 6 ≥ 6 free: Algorithm 2 line 6 uses ≥ — predicted.
 	// Occupancy 4/10 is above the 20 % utilization gate, but stability is
 	// fine at LQ; the burst escalation lands on option 1.
-	d := Decide(app.JobByID(0), input(app, est, 1, 6, 10, 0))
+	d := decide(app.JobByID(0), input(app, est, 1, 6, 10, 0))
 	if !d.IBOPredicted {
 		t.Error("IBO not predicted at the ≥ boundary")
 	}
@@ -95,15 +121,16 @@ func TestUtilizationDetectsDivergence(t *testing.T) {
 		{1, 0, 0}: 0.2,
 		{1, 1, 0}: 0.8, {1, 1, 1}: 0.3, {1, 1, 2}: 0.05,
 	}}
-	d := Decide(app.JobByID(0), input(app, est, 1, 6, 10, 0))
+	in := input(app, est, 1, 6, 10, 0)
+	d := decide(app.JobByID(0), in)
 	if !d.IBOPredicted {
 		t.Fatal("utilization divergence not predicted")
 	}
 	// The plan degrades the radio first (leaves-first); with the radio at
 	// byte quality, ρ = 1·(2 + 0.2 + 0.05) = 2.25 ≥ 1, so the ML degrades
 	// too: ρ = 0.2+0.25 = 0.45 < 1.
-	if d.Plan[1] == 0 {
-		t.Errorf("plan = %v, want report radio degraded", d.Plan)
+	if plan, _ := planOf(in); plan[1] == 0 {
+		t.Errorf("plan = %v, want report radio degraded", plan)
 	}
 	if d.OptionIdx == 0 {
 		t.Errorf("detect not degraded despite ρ ≥ 1 at ML HQ: %+v", d)
@@ -120,15 +147,16 @@ func TestLeavesFirstPrefersRadioDegradation(t *testing.T) {
 		{1, 0, 0}: 0.2,
 		{1, 1, 0}: 0.8, {1, 1, 1}: 0.3, {1, 1, 2}: 0.05,
 	}}
-	d := Decide(app.JobByID(0), input(app, est, 1, 5, 10, 0))
+	in := input(app, est, 1, 5, 10, 0)
+	d := decide(app.JobByID(0), in)
 	if !d.IBOPredicted {
 		t.Fatal("no prediction despite ρ = 1.4 at full quality")
 	}
 	if d.OptionIdx != 0 {
 		t.Errorf("ML degraded to %d, want 0 (radio degradation suffices)", d.OptionIdx)
 	}
-	if d.Plan[1] != 1 {
-		t.Errorf("plan = %v, want radio at option 1 (highest stable quality)", d.Plan)
+	if plan, _ := planOf(in); plan[1] != 1 {
+		t.Errorf("plan = %v, want radio at option 1 (highest stable quality)", plan)
 	}
 }
 
@@ -140,7 +168,7 @@ func TestOccupancyGateSuppressesUtilizationCheck(t *testing.T) {
 	}}
 	// ρ ≈ 5 at λ=1, but the buffer is nearly empty (1/10 used): the slack
 	// absorbs the burst, no prediction yet.
-	d := Decide(app.JobByID(0), input(app, est, 1, 9, 10, 0))
+	d := decide(app.JobByID(0), input(app, est, 1, 9, 10, 0))
 	if d.IBOPredicted {
 		t.Errorf("predicted with 9 free slots and E[S]=2: %+v", d)
 	}
@@ -155,12 +183,12 @@ func TestSpawnProbabilityScalesDownstreamWork(t *testing.T) {
 	}}
 	in := input(app, est, 1, 5, 10, 0)
 	// With certain spawning, ρ = 0.4 + 1.2 = 1.6 ≥ 1 → predicted.
-	if d := Decide(app.JobByID(0), in); !d.IBOPredicted {
+	if d := decide(app.JobByID(0), in); !d.IBOPredicted {
 		t.Error("no prediction with spawn probability 1")
 	}
 	// With rare spawning, ρ = 0.4 + 0.1·1.2 = 0.52 < 1 → clean.
 	in.SpawnProb = func(jobID int) float64 { return 0.1 }
-	if d := Decide(app.JobByID(0), in); d.IBOPredicted {
+	if d := decide(app.JobByID(0), in); d.IBOPredicted {
 		t.Error("predicted despite spawn probability 0.1")
 	}
 }
@@ -171,7 +199,7 @@ func TestFallbackToCheapestWhenNothingClears(t *testing.T) {
 		{0, 0, 0}: 9, {0, 0, 1}: 6,
 	}}
 	// Full buffer: free 0 → λ·E[S] ≥ 0 for every option; choose lowest S_e2e.
-	d := Decide(app.JobByID(0), input(app, est, 1, 0, 10, 0))
+	d := decide(app.JobByID(0), input(app, est, 1, 0, 10, 0))
 	if !d.IBOPredicted || d.Averted {
 		t.Fatalf("decision = %+v, want predicted and not averted", d)
 	}
@@ -187,7 +215,7 @@ func TestNonDegradableJobKeepsPrediction(t *testing.T) {
 	app := &model.App{Name: "a", Jobs: []*model.Job{fixed}, EntryJobID: 2,
 		CaptureTexe: 0.01, CapturePexe: 0.01}
 	est := &fakeEstimator{se2e: map[[3]int]float64{{2, 0, 0}: 5}}
-	d := Decide(fixed, input(app, est, 1, 3, 10, 0))
+	d := decide(fixed, input(app, est, 1, 3, 10, 0))
 	if !d.IBOPredicted || d.Averted || d.OptionIdx != 0 {
 		t.Errorf("decision = %+v, want predicted, not averted, option 0", d)
 	}
@@ -201,12 +229,12 @@ func TestPIDCorrectionInflates(t *testing.T) {
 	// Without correction: λ·2 = 2 < 4 free, occupancy below gate... use
 	// occupancy 6 (free 4): gate passed; ρ = 1·(2+1) = 3 ≥ 1 → predicted
 	// anyway. Use lambda 0.2 to keep ρ < 1: ρ = 0.64, burst 0.4 < 4.
-	d := Decide(app.JobByID(0), input(app, est, 0.2, 4, 10, 0))
+	d := decide(app.JobByID(0), input(app, est, 0.2, 4, 10, 0))
 	if d.IBOPredicted {
 		t.Fatalf("unexpected prediction without correction: %+v", d)
 	}
 	// A +20 s correction inflates E[S]: burst check 0.2·22 = 4.4 ≥ 4.
-	d = Decide(app.JobByID(0), input(app, est, 0.2, 4, 10, 20))
+	d = decide(app.JobByID(0), input(app, est, 0.2, 4, 10, 20))
 	if !d.IBOPredicted {
 		t.Error("positive PID correction did not inflate the prediction")
 	}
@@ -215,7 +243,7 @@ func TestPIDCorrectionInflates(t *testing.T) {
 func TestNegativeCorrectionClamps(t *testing.T) {
 	app := chainApp()
 	est := &fakeEstimator{}
-	d := Decide(app.JobByID(0), input(app, est, 1, 1, 10, -100))
+	d := decide(app.JobByID(0), input(app, est, 1, 1, 10, -100))
 	if d.ExpectedS < 0 {
 		t.Errorf("ExpectedS = %g, want clamped ≥ 0", d.ExpectedS)
 	}
@@ -223,7 +251,7 @@ func TestNegativeCorrectionClamps(t *testing.T) {
 
 func TestFullBufferAlwaysPredicts(t *testing.T) {
 	app := chainApp()
-	d := Decide(app.JobByID(0), input(app, &fakeEstimator{}, 0.5, 0, 10, 0))
+	d := decide(app.JobByID(0), input(app, &fakeEstimator{}, 0.5, 0, 10, 0))
 	if !d.IBOPredicted {
 		t.Error("full buffer (0 free slots) must always predict an IBO")
 	}
@@ -243,7 +271,11 @@ func TestPropertyDecisionConsistent(t *testing.T) {
 		}}
 		slots := int(free % 11)
 		corr := float64(corrRaw) / 16
-		d := Decide(app.JobByID(0), input(app, est, lambda, slots, 10, corr))
+		in := input(app, est, lambda, slots, 10, corr)
+		d := decide(app.JobByID(0), in)
+		if ref := refDecide(app.JobByID(0), in); !sameDecision(d, ref) {
+			return false
+		}
 		if d.OptionIdx < 0 || d.OptionIdx >= 2 {
 			return false
 		}
@@ -267,23 +299,21 @@ func TestReachProbsChain(t *testing.T) {
 	app := chainApp()
 	in := input(app, &fakeEstimator{}, 1, 5, 10, 0)
 	in.SpawnProb = func(jobID int) float64 { return 0.4 }
-	reach := reachProbs(in)
-	if reach[0] != 1 {
-		t.Errorf("entry reach = %g, want 1", reach[0])
+	var s Scratch
+	s.begin(&in)
+	if s.reach[0] != 1 {
+		t.Errorf("entry reach = %g, want 1", s.reach[0])
 	}
-	if reach[1] != 0.4 {
-		t.Errorf("spawned reach = %g, want 0.4", reach[1])
+	if s.reach[1] != 0.4 {
+		t.Errorf("spawned reach = %g, want 0.4", s.reach[1])
 	}
 }
 
 func TestLeavesFirstOrder(t *testing.T) {
 	app := chainApp()
-	order := leavesFirst(app)
-	if len(order) != 2 || order[0].ID != 1 || order[1].ID != 0 {
-		ids := []int{}
-		for _, j := range order {
-			ids = append(ids, j.ID)
-		}
-		t.Errorf("order = %v, want [1 0] (spawn target first)", ids)
+	var s Scratch
+	s.bind(app)
+	if len(s.order) != 2 || app.Jobs[s.order[0]].ID != 1 || app.Jobs[s.order[1]].ID != 0 {
+		t.Errorf("order = %v, want positions of jobs [1 0] (spawn target first)", s.order)
 	}
 }

@@ -23,7 +23,7 @@ func TestUnreachableJobIgnoredInUtilization(t *testing.T) {
 		{1, 1, 0}: 0.1,
 		{9, 0, 0}: 100, // would dominate ρ if it counted
 	}}
-	d := Decide(app.JobByID(0), input(app, est, 1, 5, 10, 0))
+	d := decide(app.JobByID(0), input(app, est, 1, 5, 10, 0))
 	if d.IBOPredicted {
 		t.Errorf("orphan job's cost leaked into the utilization check: %+v", d)
 	}
@@ -40,7 +40,7 @@ func TestOrphanJobStillBurstChecked(t *testing.T) {
 	est := &fakeEstimator{se2e: map[[3]int]float64{
 		{9, 0, 0}: 50, {9, 0, 1}: 1,
 	}}
-	d := Decide(orphan, input(app, est, 1, 3, 10, 0))
+	d := decide(orphan, input(app, est, 1, 3, 10, 0))
 	if !d.IBOPredicted {
 		t.Fatal("burst check silent for λ·50 ≥ 3")
 	}
@@ -78,7 +78,7 @@ func TestResolvePlanUnstablePinsCheapest(t *testing.T) {
 		{1, 1, 0}: 50, {1, 1, 1}: 30, {1, 1, 2}: 20,
 	}}
 	in := input(app, est, 1, 2, 10, 0)
-	plan, stable := resolvePlan(in)
+	plan, stable := planOf(in)
 	if stable {
 		t.Fatal("system reported stable at ρ ≫ 1")
 	}
@@ -98,11 +98,11 @@ func TestOccupancyGateBoundary(t *testing.T) {
 		{0, 0, 0}: 3, // ρ = 3 with the default 1s elsewhere
 	}}
 	// Capacity 10: occupancy 1 (free 9) is below the gate → no prediction.
-	if d := Decide(app.JobByID(0), input(app, est, 1, 9, 10, 0)); d.IBOPredicted {
+	if d := decide(app.JobByID(0), input(app, est, 1, 9, 10, 0)); d.IBOPredicted {
 		t.Error("gate failed to suppress at 10% occupancy")
 	}
 	// Occupancy 2 (free 8) hits the 20% gate → utilization fires.
-	if d := Decide(app.JobByID(0), input(app, est, 1, 8, 10, 0)); !d.IBOPredicted {
+	if d := decide(app.JobByID(0), input(app, est, 1, 8, 10, 0)); !d.IBOPredicted {
 		t.Error("utilization silent at the 20% gate boundary")
 	}
 }
@@ -112,7 +112,7 @@ func TestOccupancyGateBoundary(t *testing.T) {
 func TestZeroCapacityAppliesUtilization(t *testing.T) {
 	app := chainApp()
 	est := &fakeEstimator{se2e: map[[3]int]float64{{0, 0, 0}: 5}}
-	d := Decide(app.JobByID(0), Input{App: app, Est: est, Lambda: 1, FreeSlots: 100})
+	d := decide(app.JobByID(0), Input{App: app, Est: est, Lambda: 1, FreeSlots: 100})
 	if !d.IBOPredicted {
 		t.Error("utilization skipped when capacity unknown")
 	}

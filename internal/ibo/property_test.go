@@ -13,12 +13,13 @@ package ibo
 //	    index at or past the plan)
 //	P3  if nothing clears, it falls back to the argmin-E[S] option ("in
 //	    order to reduce E[N]")
-//	P4  no prediction → no degradation, and the plan is empty
+//	P4  no prediction → no degradation, and the plan is full quality
 //	P5  resolvePlan returns a stable assignment whenever one exists
 //	    (checked by exhaustive enumeration of the option space)
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,15 +77,17 @@ func randomReactorCase(rng *rand.Rand) (*model.App, Input) {
 // checkReactorProperties verifies P1–P4 for the entry job of one case.
 func checkReactorProperties(app *model.App, in Input) error {
 	job := app.JobByID(app.EntryJobID)
-	d := Decide(job, in)
+	d := decide(job, in)
+	plan, _ := planOf(in)
 
 	di := job.DegradableTask()
 	numOpts := len(job.Tasks[di].Options)
+	esAt := func(opt int) float64 { return expectedService(&in, job, di, opt) }
 	if d.OptionIdx < 0 || d.OptionIdx >= numOpts {
 		return fmt.Errorf("option %d out of range [0,%d)", d.OptionIdx, numOpts)
 	}
-	if d.ExpectedS != jobES(in, job, d.OptionIdx) {
-		return fmt.Errorf("ExpectedS %g != E[S] at chosen option %g", d.ExpectedS, jobES(in, job, d.OptionIdx))
+	if d.ExpectedS != esAt(d.OptionIdx) {
+		return fmt.Errorf("ExpectedS %g != E[S] at chosen option %g", d.ExpectedS, esAt(d.OptionIdx))
 	}
 
 	if !d.IBOPredicted {
@@ -92,20 +95,20 @@ func checkReactorProperties(app *model.App, in Input) error {
 		if d.OptionIdx != 0 {
 			return fmt.Errorf("no prediction but degraded to option %d", d.OptionIdx)
 		}
-		if len(d.Plan) != 0 {
-			return fmt.Errorf("no prediction but non-empty plan %v", d.Plan)
+		if degraded(plan) {
+			return fmt.Errorf("no prediction but degrading plan %v", plan)
 		}
-		if burstOverflow(in, jobES(in, job, 0)) {
+		if burstOverflow(&in, esAt(0)) {
 			return fmt.Errorf("burst check fires at full quality but IBOPredicted is false")
 		}
 		return nil
 	}
 
 	// The escalation scan starts at the plan's option for this job.
-	start := plannedOpt(d.Plan, job)
+	start := plan[job.ID]
 	clearing := -1 // highest-quality option at/past the plan that clears
 	for opt := start; opt < numOpts; opt++ {
-		if !burstOverflow(in, jobES(in, job, opt)) {
+		if !burstOverflow(&in, esAt(opt)) {
 			clearing = opt
 			break
 		}
@@ -114,7 +117,7 @@ func checkReactorProperties(app *model.App, in Input) error {
 	if clearing >= 0 {
 		// P1: a safe option exists, so the reactor must not pick an
 		// overflow-predicted one.
-		if burstOverflow(in, d.ExpectedS) {
+		if burstOverflow(&in, d.ExpectedS) {
 			return fmt.Errorf("picked option %d predicted to overflow while option %d clears", d.OptionIdx, clearing)
 		}
 		if !d.Averted {
@@ -132,9 +135,9 @@ func checkReactorProperties(app *model.App, in Input) error {
 		return fmt.Errorf("no option clears the burst check but Averted is true")
 	}
 	for opt := 0; opt < numOpts; opt++ {
-		if jobES(in, job, opt) < d.ExpectedS {
+		if esAt(opt) < d.ExpectedS {
 			return fmt.Errorf("fallback picked option %d (E[S] %g) but option %d has %g",
-				d.OptionIdx, d.ExpectedS, opt, jobES(in, job, opt))
+				d.OptionIdx, d.ExpectedS, opt, esAt(opt))
 		}
 	}
 	return nil
@@ -174,23 +177,24 @@ func TestResolvePlanProperties(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x91a4))
 		app, in := randomReactorCase(rng)
-		// Force the occupancy gate open so utilizationOK really tests ρ.
+		// Force the occupancy gate open so the stability check really
+		// tests ρ.
 		in.FreeSlots = 0
 
-		plan, ok := resolvePlan(in)
-		if ok && !utilizationOK(in, plan) {
-			t.Fatalf("seed %d: resolvePlan returned ok with unstable plan %v (ρ = %g)", seed, plan, in.utilization(plan))
+		plan, ok := planOf(in)
+		if ok && !refUtilizationOK(in, plan) {
+			t.Fatalf("seed %d: resolvePlan returned ok with unstable plan %v (ρ = %g)", seed, plan, refUtilization(in, plan))
 		}
 
 		// Exhaustive oracle over every full assignment.
 		exists := false
-		var walk func(idx int, a assignment)
-		walk = func(idx int, a assignment) {
+		var walk func(idx int, a refAssignment)
+		walk = func(idx int, a refAssignment) {
 			if exists {
 				return
 			}
 			if idx == len(app.Jobs) {
-				if utilizationOK(in, a) {
+				if refUtilizationOK(in, a) {
 					exists = true
 				}
 				return
@@ -207,7 +211,7 @@ func TestResolvePlanProperties(t *testing.T) {
 			}
 			delete(a, j.ID)
 		}
-		walk(0, assignment{})
+		walk(0, refAssignment{})
 
 		if exists && !ok {
 			t.Fatalf("seed %d: a stable assignment exists but resolvePlan reported none", seed)
@@ -215,5 +219,76 @@ func TestResolvePlanProperties(t *testing.T) {
 		if !exists && ok {
 			t.Fatalf("seed %d: resolvePlan claims stability where exhaustive search finds none", seed)
 		}
+	}
+}
+
+// sameDecision reports whether d equals the reference decision bit for bit.
+func sameDecision(d Decision, ref refDecision) bool {
+	return d.IBOPredicted == ref.IBOPredicted && d.Averted == ref.Averted &&
+		d.OptionIdx == ref.OptionIdx &&
+		math.Float64bits(d.ExpectedS) == math.Float64bits(ref.ExpectedS)
+}
+
+// checkMatchesReference decides for every job of the case, on the shared
+// Scratch s and on a fresh one, and compares each decision and the resolved
+// plan with the map-based reference.
+func checkMatchesReference(s *Scratch, app *model.App, in Input) error {
+	for _, job := range app.Jobs {
+		ref := refDecide(job, in)
+		for _, sc := range []*Scratch{s, new(Scratch)} {
+			if d := sc.Decide(job, in); !sameDecision(d, ref) {
+				return fmt.Errorf("job %d: decision %+v, reference %+v", job.ID, d, ref)
+			}
+		}
+		if !ref.IBOPredicted && len(ref.Plan) != 0 {
+			return fmt.Errorf("job %d: reference plan %v without a prediction", job.ID, ref.Plan)
+		}
+	}
+	refPlan, refOK := refResolvePlan(in)
+	fullOK, ok := s.resolvePlan(&in)
+	if ok != refOK || fullOK != refUtilizationOK(in, refAssignment{}) {
+		return fmt.Errorf("resolvePlan (full %v, ok %v), reference ok %v", fullOK, ok, refOK)
+	}
+	for pos, j := range app.Jobs {
+		if got, want := s.plan[pos], refPlannedOpt(refPlan, j); got != want {
+			return fmt.Errorf("job %d: plan option %d, reference %d", j.ID, got, want)
+		}
+	}
+	// ρ itself, bit for bit: its summation order is part of the contract.
+	if got, want := s.utilization(&in), refUtilization(in, refPlan); math.Float64bits(got) != math.Float64bits(want) {
+		return fmt.Errorf("ρ at the plan = %v, reference %v", got, want)
+	}
+	return nil
+}
+
+// TestDecideMatchesReference pins the allocation-free engine to the
+// map-based one on every generator state the property tests use, with the
+// occupancy gate both as drawn and forced open.
+func TestDecideMatchesReference(t *testing.T) {
+	var s Scratch
+	check := func(name string, app *model.App, in Input) {
+		t.Helper()
+		if err := checkMatchesReference(&s, app, in); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		in.FreeSlots = 0
+		if err := checkMatchesReference(&s, app, in); err != nil {
+			t.Fatalf("%s, gate open: %v", name, err)
+		}
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		app, in := randomReactorCase(rand.New(rand.NewSource(seed)))
+		check(fmt.Sprintf("seed %d", seed), app, in)
+	}
+	for _, seed := range []int64{2, 11, 33, 77, 128, 512, 4096, 31337} {
+		rng := rand.New(rand.NewSource(seed))
+		for draw := 0; draw < 5; draw++ {
+			app, in := randomReactorCase(rng)
+			check(fmt.Sprintf("seed %d draw %d", seed, draw), app, in)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		app, in := randomReactorCase(rand.New(rand.NewSource(seed ^ 0x91a4)))
+		check(fmt.Sprintf("plan seed %d", seed), app, in)
 	}
 }

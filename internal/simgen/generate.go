@@ -26,6 +26,7 @@ import (
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/policy"
+	"quetzal/internal/randsrc"
 	"quetzal/internal/sim"
 	"quetzal/internal/trace"
 )
@@ -84,7 +85,7 @@ type Params struct {
 
 // Random samples uniformly over the whole space.
 func Random(seed int64) Params {
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	span := func(lo, hi int) int { return lo + rng.Intn(hi-lo+1) }
 	p := Params{
 		Seed:         seed,

@@ -300,15 +300,6 @@ func (s *Store) Claimed(id string) bool {
 	return err == nil
 }
 
-// Refresh rescans the directory for records published by other handles.
-// Get and Has already refresh on miss; Refresh exists for callers that
-// want the index warm before a burst.
-func (s *Store) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refreshLocked()
-}
-
 // Close releases the handle's append segment. Reads keep working; further
 // Puts fail.
 func (s *Store) Close() error {

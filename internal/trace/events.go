@@ -3,8 +3,9 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
+
+	"quetzal/internal/randsrc"
 )
 
 // Event is one contiguous burst of sensing activity. While an event is
@@ -120,7 +121,7 @@ func GenerateEvents(cfg EventConfig) *EventTrace {
 	if cfg.InterestingProb < 0 || cfg.InterestingProb > 1 {
 		panic(fmt.Sprintf("trace: interesting probability must be in [0,1], got %g", cfg.InterestingProb))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.New(cfg.Seed)
 	events := make([]Event, 0, cfg.N)
 	t := 0.0
 	mu := math.Log(cfg.MedianDuration)

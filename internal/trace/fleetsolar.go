@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"quetzal/internal/randsrc"
 )
 
 // FleetSolar derives per-device solar traces that share one regional sky.
@@ -28,6 +30,7 @@ type FleetSolar struct {
 	rng *rand.Rand
 	x   float64   // regional OU state after the last generated sample
 	reg []float64 // regional attenuation samples, one per SampleDt
+	env []float64 // diurnal envelope samples, one per SampleDt
 }
 
 // NewFleetSolar builds the shared generator. cfg.Seed seeds the regional
@@ -44,15 +47,16 @@ func NewFleetSolar(cfg SolarConfig, correlation float64) *FleetSolar {
 	if correlation < 0 || correlation > 1 {
 		panic(fmt.Sprintf("trace: correlation must be in [0,1], got %g", correlation))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.New(cfg.Seed)
 	return &FleetSolar{cfg: cfg, corr: correlation, rng: rng, x: rng.NormFloat64()}
 }
 
-// regional returns at least n samples of the shared attenuation series,
-// extending it under the lock. Existing samples are never rewritten, and the
-// RNG is consumed strictly sequentially, so sample j is identical no matter
-// which device's request forced the extension.
-func (f *FleetSolar) regional(n int) []float64 {
+// shared returns at least n samples of the diurnal envelope and of the
+// regional attenuation series, extending both under the lock. Existing
+// samples are never rewritten, and the RNG is consumed strictly
+// sequentially, so sample j is identical no matter which device's request
+// forced the extension.
+func (f *FleetSolar) shared(n int) (env, reg []float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	tau := f.cfg.CloudTau
@@ -69,7 +73,16 @@ func (f *FleetSolar) regional(n int) []float64 {
 		}
 		f.reg = append(f.reg, atten)
 	}
-	return f.reg
+	for i := len(f.env); i < n; i++ {
+		t := float64(i) * dt
+		phase := math.Mod(t/f.cfg.DayLength+f.cfg.StartFraction, 1)
+		env := 0.0
+		if phase < f.cfg.DaylightFraction {
+			env = math.Pow(math.Sin(math.Pi*phase/f.cfg.DaylightFraction), 1.2)
+		}
+		f.env = append(f.env, env)
+	}
+	return f.env, f.reg
 }
 
 // Device generates one device's sampled trace from its derived seed,
@@ -84,9 +97,9 @@ func (f *FleetSolar) Device(seed int64, duration float64) *Sampled {
 		cfg.Duration = duration
 	}
 	n := int(cfg.Duration/cfg.SampleDt) + 1
-	reg := f.regional(n)
+	envs, reg := f.shared(n)
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	tau := cfg.CloudTau
 	if tau <= 0 {
 		tau = 1
@@ -95,12 +108,7 @@ func (f *FleetSolar) Device(seed int64, duration float64) *Sampled {
 	x := rng.NormFloat64() // local OU cloud state
 	samples := make([]float64, n)
 	for i := 0; i < n; i++ {
-		t := float64(i) * cfg.SampleDt
-		phase := math.Mod(t/cfg.DayLength+cfg.StartFraction, 1)
-		env := 0.0
-		if phase < cfg.DaylightFraction {
-			env = math.Pow(math.Sin(math.Pi*phase/cfg.DaylightFraction), 1.2)
-		}
+		env := envs[i]
 		dt := cfg.SampleDt
 		x += (-x/tau)*dt + sigma*math.Sqrt(dt)*rng.NormFloat64()
 		local := 1 - cfg.CloudDepth*sigmoid(x-0.5)

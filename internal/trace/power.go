@@ -21,7 +21,8 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"quetzal/internal/randsrc"
 )
 
 // PowerTrace yields harvestable input power (watts) as a function of
@@ -161,7 +162,7 @@ func GenerateSolar(cfg SolarConfig) *Sampled {
 	if cfg.DaylightFraction <= 0 || cfg.DaylightFraction > 1 {
 		panic(fmt.Sprintf("trace: daylight fraction must be in (0,1], got %g", cfg.DaylightFraction))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.New(cfg.Seed)
 	n := int(cfg.Duration/cfg.SampleDt) + 1
 	samples := make([]float64, n)
 

@@ -2,7 +2,8 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
+
+	"quetzal/internal/randsrc"
 )
 
 // RFConfig parameterises the synthetic RF-harvesting generator. RF power
@@ -53,7 +54,7 @@ func GenerateRF(cfg RFConfig) *Sampled {
 	if cfg.FadingDepth < 0 || cfg.FadingDepth >= 1 {
 		panic(fmt.Sprintf("trace: fading depth must be in [0,1), got %g", cfg.FadingDepth))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.New(cfg.Seed)
 	n := int(cfg.Duration/cfg.SampleDt) + 1
 	samples := make([]float64, n)
 
