@@ -38,6 +38,7 @@ type Controller struct {
 	app    *model.App
 	policy sched.Policy
 	rule   Rule
+	opts   []int // Decision.Options, reused: valid until the next NextJob
 }
 
 // New builds a baseline controller for the app. policy nil defaults to FCFS.
@@ -67,10 +68,15 @@ func (c *Controller) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, b
 		return core.Decision{BufferIndex: -1, JobID: -1}, false
 	}
 	job := c.app.JobByID(sd.JobID)
+	if cap(c.opts) < len(job.Tasks) {
+		c.opts = make([]int, len(job.Tasks))
+	}
+	c.opts = c.opts[:len(job.Tasks)]
+	clear(c.opts)
 	dec := core.Decision{
 		BufferIndex: sd.BufferIndex,
 		JobID:       sd.JobID,
-		Options:     make([]int, len(job.Tasks)),
+		Options:     c.opts,
 	}
 	if c.rule.Degrade(env) {
 		for i, task := range job.Tasks {

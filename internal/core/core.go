@@ -47,8 +47,9 @@ type Decision struct {
 	BufferIndex int // index into the buffer; -1 when idle
 	JobID       int // job that will run
 	// Options holds the per-task option indices for this execution.
-	// core.Runtime reuses one slice for every decision, so it is valid only
-	// until the next NextJob call; hosts copy what they keep.
+	// Controllers (core.Runtime, the baselines and the policy strategies)
+	// reuse one slice for every decision, so it is valid only until the
+	// next NextJob call; hosts copy what they keep.
 	Options    []int
 	PredictedS float64
 	// ModelS is the uncorrected model estimate of E[S] for the chosen

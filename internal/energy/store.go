@@ -140,6 +140,10 @@ func (s *Store) ReplayLedger() (stored, harvested, consumed float64) {
 	return s.stored, s.harvested, s.consumed
 }
 
+// Leaked returns the lifetime self-discharge in joules (Stats().LeakedJ
+// without building Stats, for the per-step invariant check).
+func (s *Store) Leaked() float64 { return s.leaked }
+
 // SetReplayLedger commits replayed accumulator state back into the store.
 // It is the write half of the lockstep crawl-replay seam (see
 // engine/lockstep.go): the caller must have produced the values by the exact

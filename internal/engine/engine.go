@@ -18,9 +18,11 @@
 //
 //   - Observer is the instrumentation pipeline: registered observers are
 //     invoked from one site after every committed step (EndStep) and once
-//     at end of run. Timeline CSV writing and the internal/invariant
-//     checker are observers; the hot path pays zero allocations when no
-//     observer is registered.
+//     at end of run. Timeline CSV writing is an observer; the hot path pays
+//     zero allocations when no observer is registered. The
+//     internal/invariant checker registers through InvariantObserver but
+//     is owned by the machine, which calls it directly after every step,
+//     replayed ones included, also without allocating.
 //
 // Package sim wraps this package in a compatibility facade (sim.Config,
 // sim.Simulator) that keeps the original public API; new code that wants
@@ -42,11 +44,12 @@ const (
 	// are piecewise-linear, so the same Step transition applies exactly;
 	// runs are typically 50–200× faster with statistically matching
 	// results (validated in internal/simgen's differential oracle). When
-	// no observer is attached, brown-out crawl regimes — a store pinned at
-	// the floor with a pending capture, advancing in minSegment steps — are
-	// replayed as constant-addend updates; results are bit-identical with
-	// or without the replay. Use it for large sweeps; use FixedIncrement
-	// for the paper-faithful reference.
+	// no observer is attached (the invariant checker does not count),
+	// brown-out crawl regimes — a store pinned at the floor with a pending
+	// capture, advancing in minSegment steps — are replayed as
+	// constant-addend updates; results and checker verdicts are
+	// bit-identical with or without the replay. Use it for large sweeps;
+	// use FixedIncrement for the paper-faithful reference.
 	EventDriven
 	// Lockstep selects the same stepper as EventDriven. It stays a
 	// distinct value because its name is part of run ids and store keys

@@ -223,8 +223,8 @@ func TestStoreChargeAndRestart(t *testing.T) {
 }
 
 // TestHotPathZeroAlloc is the observer pipeline's zero-cost claim: with no
-// observers (and even with the invariant checker, which snapshots by
-// value), steady-state stepping allocates nothing.
+// observers (and even with the invariant checker, which the machine feeds
+// an observation filled in place), steady-state stepping allocates nothing.
 func TestHotPathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -74,10 +74,14 @@ func (m *Machine) replayCrawl(limit float64) int {
 	// Regime gate. Each condition either defines the crawl or excludes a
 	// side effect the replay does not reproduce: UsableEnergy()==0 is what
 	// forces segment()==minSegment; a pending on/off transition would logf
-	// and run checkpoint policy; observers/hooks must see every step;
-	// leakage adds a per-step drain Step applies and this loop does not;
-	// CapturePexe<=0 flips DrawPriority into its free-progress branch;
-	// a replay-sensitive controller reads state the replay does not freeze.
+	// and run checkpoint policy; observers and the StepHook must see the
+	// machine after every step; leakage adds a per-step drain Step applies
+	// and this loop does not; CapturePexe<=0 flips DrawPriority into its
+	// free-progress branch; a replay-sensitive controller reads state the
+	// replay does not freeze. The invariant checker is not an observer and
+	// does not close the gate: the loop below hands it every replayed step
+	// (checkReplayed), so its verdict and statistics match the per-segment
+	// path step for step.
 	//
 	// The fault layer needs no extra gate: every realism effect fires from
 	// a site the crawl regime excludes. Measurement charges, temperature
@@ -123,6 +127,12 @@ func (m *Machine) replayCrawl(limit float64) int {
 	oi := float64(m.buf.Len()) * dt // occupancy-integral addend (buffer untouched)
 	occInt := m.res.OccupancyIntegral
 	tr := m.cfg.Power
+	chk := m.chk
+	if chk != nil {
+		// Constant over the replay: no leakage, buffer untouched.
+		m.chkSt.Store.Leaked = st.Leaked()
+		m.chkSt.BufferLen = m.buf.Len()
+	}
 	n := 0
 
 loop:
@@ -174,6 +184,9 @@ loop:
 		now += dt
 		rem = nr
 		n++
+		if chk != nil {
+			m.checkReplayed(now, stored, harvested, consumed)
+		}
 
 		// Fixed point: the step returned the store bit-identical to its
 		// pre-step value (everything harvested drained back to the floor in
@@ -197,6 +210,9 @@ loop:
 					now += dt
 					rem = nr
 					n++
+					if chk != nil {
+						m.checkReplayed(now, stored, harvested, consumed)
+					}
 				}
 			}
 		}
@@ -210,6 +226,19 @@ loop:
 		m.replaySteps += n
 	}
 	return n
+}
+
+// checkReplayed hands the invariant checker one replayed step: the state
+// Snapshot would read after the step the per-segment path commits, taken
+// from the replay's registers. Leakage and occupancy were set before the
+// loop; capacities when the checker registered.
+func (m *Machine) checkReplayed(now, stored, harvested, consumed float64) {
+	st := &m.chkSt
+	st.Now = now
+	st.Store.Energy = stored
+	st.Store.Harvested = harvested
+	st.Store.Consumed = consumed
+	m.chk.Step(st)
 }
 
 // constantWindow reports a window [t, until) over which tr.Power returns the

@@ -5,11 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"quetzal/internal/baseline"
 	"quetzal/internal/device"
 	"quetzal/internal/energy"
+	"quetzal/internal/invariant"
 	"quetzal/internal/metrics"
 	"quetzal/internal/trace"
 )
@@ -195,3 +197,115 @@ func TestLockstepCancellation(t *testing.T) {
 // on, on the shared bench workload (comparable to BenchmarkEngineEvent, its
 // replay-off reference, row for row).
 func BenchmarkEngineLockstep(b *testing.B) { benchEngineRun(b, LockstepStepper{}) }
+
+// replayWindows runs m to its end the way LockstepStepper does and returns
+// the [start, end) spans the crawl replay committed.
+func replayWindows(m *Machine) [][2]float64 {
+	end := m.cfg.Duration
+	var spans [][2]float64
+	for m.now < end {
+		start := m.now
+		if m.replayCrawl(end) > 0 {
+			spans = append(spans, [2]float64{start, m.now})
+			continue
+		}
+		dt := segment(m, end)
+		m.Step(dt)
+		m.now += dt
+		m.EndStep(dt)
+	}
+	return spans
+}
+
+// TestReplayedStepsAreChecked is the mutation test of the replay under
+// checks: the harvester keeps delivering through a dropout window the
+// checker was told about, and the window lies inside one replayed span, so
+// only a check of the replayed steps can see it. No StepHook injects it
+// (a hook turns the replay off): the mutant is the trace itself, which
+// ignores its dropout. The checked run must replay, fail with
+// dropout-harvest at a time inside the span, and report exactly what the
+// replay-off reference reports.
+func TestReplayedStepsAreChecked(t *testing.T) {
+	sc := lockstepScenarios()[0] // bench-square: crawls at the 4 mW low level
+	probe, err := New(lockstepConfig(t, sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var span [2]float64
+	for _, w := range replayWindows(probe) {
+		if w[1]-w[0] > span[1]-span[0] {
+			span = w
+		}
+	}
+	if span[1]-span[0] < 1000*minSegment {
+		t.Fatalf("longest replayed span %v; the scenario must crawl for thousands of steps", span)
+	}
+	third := (span[1] - span[0]) / 3
+	window := [2]float64{span[0] + third, span[1] - third}
+
+	run := func(obs ...Observer) (*Machine, error) {
+		m, err := New(lockstepConfig(t, sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk := invariant.New(invariant.Config{DropoutWindows: [][2]float64{window}})
+		m.Observe(append([]Observer{InvariantObserver{C: chk}}, obs...)...)
+		_, err = m.Run(context.Background(), LockstepStepper{})
+		return m, err
+	}
+	m, err := run()
+	if m.ReplayedSteps() == 0 {
+		t.Fatal("checked run never replayed")
+	}
+	var v invariant.Violation
+	if !errors.As(err, &v) || v.Name != "dropout-harvest" {
+		t.Fatalf("harvest inside the declared dropout not caught: %v", err)
+	}
+	if v.Time <= window[0] || v.Time > window[1] {
+		t.Errorf("violation at t=%g, outside the dropout window %v", v.Time, window)
+	}
+	_, refErr := run(replayOff)
+	if refErr == nil || refErr.Error() != err.Error() {
+		t.Errorf("replayed run reported\n%v\nreplay-off reference reported\n%v", err, refErr)
+	}
+}
+
+// TestCheckedHotPathZeroAlloc: a checked lockstep run — the crawl replay
+// included — allocates nothing per iteration once warm.
+func TestCheckedHotPathZeroAlloc(t *testing.T) {
+	cfg := testConfig(t, nil, nil)
+	// One long event keeps arrivals, decisions and transmissions flowing,
+	// and the low square-wave level makes the store crawl at its floor.
+	cfg.Events = &trace.EventTrace{Events: []trace.Event{{Start: 0, Duration: 7200, Interesting: true}}}
+	cfg.Power = trace.SquareWave{High: 0.05, Low: 0.004, Period: 60, Duty: 0.5}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Observe(InvariantObserver{C: invariant.New(invariant.Config{})})
+	end := m.cfg.Duration
+	iterate := func() {
+		if m.replayCrawl(end) > 0 {
+			return
+		}
+		dt := segment(m, end)
+		m.Step(dt)
+		m.now += dt
+		m.EndStep(dt)
+	}
+	for i := 0; i < 5000; i++ { // warm up: first captures, jobs, brownouts
+		iterate()
+	}
+	if allocs := testing.AllocsPerRun(5000, iterate); allocs != 0 {
+		t.Errorf("checked lockstep iteration allocates %.4f, want 0", allocs)
+	}
+	if m.now >= end {
+		t.Fatal("run reached its end; the guard measured idle iterations")
+	}
+	if m.ReplayedSteps() == 0 {
+		t.Error("the crawl replay never engaged; the guard does not cover it")
+	}
+	if err := m.chk.Err(); err != nil {
+		t.Fatalf("checked run violated invariants: %v", err)
+	}
+}

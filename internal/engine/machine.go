@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"quetzal/internal/buffer"
@@ -57,7 +58,18 @@ type Machine struct {
 	wasOn       bool
 
 	observers []Observer
-	verified  bool // an InvariantObserver subsumes the end-of-run Check
+
+	// chk is the invariant checker an InvariantObserver registered (nil
+	// when the run is unchecked); it subsumes the end-of-run Check. The
+	// machine calls it directly after every committed step, replayed ones
+	// included, with chkSt filled in place.
+	chk   *invariant.Checker
+	chkSt invariant.StepState
+
+	// powNow/pow memoize cfg.Power.Power at one instant: segment, Step and
+	// the controller all sample the trace at the same m.now, and every
+	// PowerTrace is a pure function of time. powNow starts NaN (no sample).
+	powNow, pow float64
 
 	// replaySteps counts steps committed by the crawl replay
 	// (lockstep.go) instead of the full segment/step path; tests assert the
@@ -159,13 +171,14 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:   cfg,
-		app:   cfg.App,
-		ctl:   cfg.Controller,
-		store: energy.NewStore(cfg.Store),
-		buf:   buffer.New(cfg.BufferCapacity),
-		rng:   randsrc.New(cfg.Seed),
-		wasOn: true,
+		cfg:    cfg,
+		app:    cfg.App,
+		ctl:    cfg.Controller,
+		store:  energy.NewStore(cfg.Store),
+		buf:    buffer.New(cfg.BufferCapacity),
+		rng:    randsrc.New(cfg.Seed),
+		wasOn:  true,
+		powNow: math.NaN(),
 	}
 	m.res.System = cfg.Controller.Name()
 	m.res.Environment = cfg.Environment
@@ -208,11 +221,17 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Observe appends observers to the pipeline. Register before Run; the
-// registration order is the per-step invocation order.
+// registration order is the per-step invocation order. The first
+// InvariantObserver is not appended: the machine takes its checker over
+// (see InvariantObserver) and runs it after the other observers, each step
+// and at the end of the run.
 func (m *Machine) Observe(obs ...Observer) {
 	for _, o := range obs {
-		if _, ok := o.(InvariantObserver); ok {
-			m.verified = true
+		if io, ok := o.(InvariantObserver); ok && m.chk == nil {
+			m.chk = io.C
+			m.chkSt.Store.Capacity = m.store.Capacity()
+			m.chkSt.BufferCap = m.buf.Capacity()
+			continue
 		}
 		m.observers = append(m.observers, o)
 	}
@@ -220,8 +239,9 @@ func (m *Machine) Observe(obs ...Observer) {
 
 // Run executes the machine under the given stepper (nil → fixed-increment)
 // until cfg.Duration, then finalises: store statistics are copied into the
-// results and every observer's OnFinish runs. When no InvariantObserver is
-// registered, the results' own accounting identities are still verified.
+// results, every observer's OnFinish runs, then the invariant checker's.
+// When no InvariantObserver is registered, the results' own accounting
+// identities are still verified.
 func (m *Machine) Run(ctx context.Context, s Stepper) (metrics.Results, error) {
 	err := m.RunInto(ctx, s, nil)
 	return m.res, err
@@ -246,7 +266,11 @@ func (m *Machine) RunInto(ctx context.Context, s Stepper, sink func(*metrics.Res
 			return err
 		}
 	}
-	if !m.verified {
+	if m.chk != nil {
+		if err := (InvariantObserver{C: m.chk}).OnFinish(m); err != nil {
+			return err
+		}
+	} else {
 		if err := m.res.Check(); err != nil {
 			return fmt.Errorf("engine: inconsistent accounting: %w", err)
 		}
@@ -265,7 +289,21 @@ func (m *Machine) Duration() float64 { return m.cfg.Duration }
 func (m *Machine) Now() float64 { return m.now }
 
 // InputPower returns the harvestable input power at the current instant.
-func (m *Machine) InputPower() float64 { return m.cfg.Power.Power(m.now) }
+func (m *Machine) InputPower() float64 {
+	if m.now != m.powNow {
+		m.samplePower()
+	}
+	return m.pow
+}
+
+// samplePower is InputPower's memo miss, kept out of line so InputPower
+// inlines at its call sites.
+//
+//go:noinline
+func (m *Machine) samplePower() {
+	m.powNow = m.now
+	m.pow = m.cfg.Power.Power(m.now)
+}
 
 // Results returns the accumulated results so far (useful mid-run).
 func (m *Machine) Results() metrics.Results { return m.res }
@@ -280,8 +318,10 @@ func (m *Machine) Store() *energy.Store { return m.store }
 func (m *Machine) PendingCaptures() int { return m.captures.Len() }
 
 // ReplayedSteps counts steps the crawl replay committed without full
-// segment/step dispatch (0 under the fixed-increment stepper, with
-// observers attached, or when the fast path never engaged).
+// segment/step dispatch (0 under the fixed-increment stepper, with an
+// observer or StepHook attached, or when the fast path never engaged). The
+// invariant checker does not count as an observer here: it checks every
+// replayed step.
 func (m *Machine) ReplayedSteps() int { return m.replaySteps }
 
 // Phase names the machine's current activity, in the device's priority
@@ -320,11 +360,31 @@ func (m *Machine) Snapshot() invariant.StepState {
 
 // EndStep commits one step to the observer pipeline. Steppers call it
 // exactly once per committed step, after the clock bookkeeping; it is the
-// single site observers are invoked from.
+// single site observers and the invariant checker are invoked from outside
+// the crawl replay.
 func (m *Machine) EndStep(dt float64) {
+	if len(m.observers) != 0 || m.chk != nil {
+		m.endStep(dt)
+	}
+}
+
+// endStep is EndStep's instrumented path, kept out of line so an
+// uninstrumented step pays two inlined tests. The checker's observation is
+// filled in place from the live state; its constant fields were set when
+// the checker registered.
+func (m *Machine) endStep(dt float64) {
 	for _, o := range m.observers {
 		o.OnStep(m, dt)
 	}
+	if m.chk == nil {
+		return
+	}
+	st := &m.chkSt
+	st.Now = m.now
+	st.Store.Energy, st.Store.Harvested, st.Store.Consumed = m.store.ReplayLedger()
+	st.Store.Leaked = m.store.Leaked()
+	st.BufferLen = m.buf.Len()
+	m.chk.Step(st)
 }
 
 // Hook runs the test-only StepHook, when set. Steppers call it before every
@@ -363,7 +423,7 @@ func (m *Machine) canceled(ctx context.Context) error {
 // bookkeeping (the two disciplines stamp time differently).
 func (m *Machine) Step(dt float64) {
 	// Environment: harvest into the store (this may restart the device).
-	m.store.Harvest(m.cfg.Power.Power(m.now), dt)
+	m.store.Harvest(m.InputPower(), dt)
 
 	on := m.store.On()
 	if m.wasOn && !on {
@@ -558,7 +618,7 @@ func (m *Machine) invokeController(dt float64) {
 	}
 	env := core.Env{
 		Now:           m.now,
-		InputPower:    m.cfg.Power.Power(m.now),
+		InputPower:    m.InputPower(),
 		BufferLen:     m.buf.Len(),
 		BufferCap:     m.buf.Capacity(),
 		StoreEnergy:   m.store.UsableEnergy(),

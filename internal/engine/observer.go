@@ -65,12 +65,22 @@ func (t *TimelineWriter) OnFinish(*Machine) error { return nil }
 // InvariantObserver feeds every step to an invariant.Checker and verifies
 // the end-of-run accounting identities. Registering one marks the run as
 // verified, replacing the machine's own fallback Results.Check.
+//
+// Machine.Observe does not add it to the observer list: the machine takes
+// the checker over, calls it directly after every committed step with an
+// observation filled in place, and keeps the crawl replay engaged by
+// checking each replayed step too (see Machine.replayCrawl). Its Observer
+// methods serve callers that wrap it in an observer of their own; such a
+// wrapper is an ordinary observer and turns the replay off.
 type InvariantObserver struct {
 	C *invariant.Checker
 }
 
 // OnStep checks the per-step invariants against the machine snapshot.
-func (o InvariantObserver) OnStep(m *Machine, _ float64) { o.C.Step(m.Snapshot()) }
+func (o InvariantObserver) OnStep(m *Machine, _ float64) {
+	st := m.Snapshot()
+	o.C.Step(&st)
+}
 
 // Horizon reports no boundary needs.
 func (o InvariantObserver) Horizon(float64) float64 { return 0 }
@@ -85,7 +95,9 @@ func (o InvariantObserver) OnFinish(m *Machine) error {
 }
 
 // FuncObserver adapts plain functions to the Observer interface; nil
-// fields behave as no-ops. Tests and ad-hoc metrics collectors use it.
+// fields behave as no-ops. Tests and ad-hoc metrics collectors use it. Like
+// every observer, it turns the crawl replay off, so a no-op FuncObserver is
+// the replay-off reference of the replay-parity tests.
 type FuncObserver struct {
 	Step   func(m *Machine, dt float64)
 	Bound  func(now float64) float64

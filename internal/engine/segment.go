@@ -90,7 +90,7 @@ func segment(m *Machine, end float64) float64 {
 // harvestRate returns the net power the store gains from the environment at
 // the segment start (post-efficiency, pre-leakage).
 func (m *Machine) harvestRate() float64 {
-	p := m.cfg.Power.Power(m.now) * m.cfg.Store.HarvestEfficiency
+	p := m.InputPower() * m.cfg.Store.HarvestEfficiency
 	return p - m.cfg.Store.LeakagePower
 }
 
@@ -125,8 +125,5 @@ func (m *Machine) storeCharge(energy float64) float64 {
 // storeRestart returns the time until a browned-out store reaches the VOn
 // restart threshold at the current harvest.
 func (m *Machine) storeRestart() float64 {
-	cfg := m.cfg.Store
-	eOn := 0.5 * cfg.Capacitance * cfg.VOn * cfg.VOn
-	deficit := eOn - m.store.Energy()
-	return m.storeCharge(deficit)
+	return m.storeCharge(m.store.RestartThreshold() - m.store.Energy())
 }

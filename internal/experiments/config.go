@@ -185,17 +185,39 @@ func (s Setup) RunContext(ctx context.Context, systemID string, env Environment)
 // is assembled. It is the single execution path every figure and study
 // funnels through.
 func (s Setup) runContext(ctx context.Context, systemID string, env Environment, mutate func(*sim.Config)) (metrics.Results, error) {
-	if systemID == SysIdeal {
-		return s.ideal(env), nil
-	}
 	power, events := s.Traces(env)
-	app := s.Profile.PersonDetectionApp()
+	return s.simulate(ctx, systemID, env, mutate, power, events)
+}
 
-	ctl, bufCap, err := s.Controller(systemID, app, power, events)
+// simulate is runContext over traces the caller built with s.Traces(env);
+// a Sweep passes traces it shares among the keys that resolve to the same
+// ones.
+func (s Setup) simulate(ctx context.Context, systemID string, env Environment, mutate func(*sim.Config),
+	power trace.PowerTrace, events *trace.EventTrace) (metrics.Results, error) {
+	if systemID == SysIdeal {
+		return s.ideal(env, events), nil
+	}
+	simulator, err := s.build(systemID, env, mutate, power, events)
 	if err != nil {
 		return metrics.Results{}, err
 	}
+	res, err := simulator.RunContext(ctx)
+	if err != nil {
+		return res, fmt.Errorf("experiments: %s/%s: %w", systemID, env.Name, err)
+	}
+	res.System = systemID
+	return res, nil
+}
 
+// build assembles the simulator for one (non-Ideal) system over the given
+// traces, checks on, without running it.
+func (s Setup) build(systemID string, env Environment, mutate func(*sim.Config),
+	power trace.PowerTrace, events *trace.EventTrace) (*sim.Simulator, error) {
+	app := s.Profile.PersonDetectionApp()
+	ctl, bufCap, err := s.Controller(systemID, app, power, events)
+	if err != nil {
+		return nil, err
+	}
 	cfg := sim.Config{
 		Profile:        s.Profile,
 		App:            app,
@@ -216,16 +238,7 @@ func (s Setup) runContext(ctx context.Context, systemID string, env Environment,
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	simulator, err := sim.New(cfg)
-	if err != nil {
-		return metrics.Results{}, err
-	}
-	res, err := simulator.RunContext(ctx)
-	if err != nil {
-		return res, fmt.Errorf("experiments: %s/%s: %w", systemID, env.Name, err)
-	}
-	res.System = systemID
-	return res, nil
+	return sim.New(cfg)
 }
 
 // ideal computes the Ideal baseline analytically: "an infinite input buffer
@@ -233,9 +246,8 @@ func (s Setup) runContext(ctx context.Context, systemID string, env Environment,
 // misclassifications" (§2.3). With no buffer limit and no deadline, every
 // arrival is eventually processed at the highest quality, so the outcome is
 // fully determined by the arrival counts and the high-quality classifier's
-// error rates.
-func (s Setup) ideal(env Environment) metrics.Results {
-	_, events := s.Traces(env)
+// error rates. events is s.Traces(env)'s event trace.
+func (s Setup) ideal(env Environment, events *trace.EventTrace) metrics.Results {
 	period := s.capturePeriod()
 	duration := events.Duration() + 120
 	captures := int(duration / period)

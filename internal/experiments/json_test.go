@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"quetzal/internal/metrics"
 	"quetzal/internal/policy"
+	"quetzal/internal/runner"
 	"quetzal/internal/sim"
 )
 
@@ -141,22 +143,37 @@ func TestKeySpecResolvesSharedKeys(t *testing.T) {
 }
 
 // TestExecuteMatchesSweep pins that the exported Execute path is the same
-// execution the CLI sweep uses: one key, both paths, identical results.
+// execution the CLI sweep uses: Execute generates each run's traces, a
+// Sweep shares them among the keys of one (seed, environment), and at any
+// worker count both return identical results for every key.
 func TestExecuteMatchesSweep(t *testing.T) {
 	setup := DefaultSetup()
-	setup.NumEvents = 40
+	setup.NumEvents = 30
 	setup.Engine = sim.EventDriven
-	key := RunKey{System: SysNoAdapt, Env: LessCrowded}
-
-	direct, err := setup.Execute(context.Background(), key)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
+	var keys []RunKey
+	for _, seed := range []int64{3, 4} {
+		for _, k := range LeaguePlan([]string{SysQuetzal, SysNoAdapt, SysMDP}, []Environment{LessCrowded, Faulty}) {
+			k.Seed = seed
+			keys = append(keys, k)
+		}
 	}
-	viaSweep, err := NewSweep(setup).Get(context.Background(), key)
-	if err != nil {
-		t.Fatalf("Sweep.Get: %v", err)
+	want := make([]metrics.Results, len(keys))
+	for i, k := range keys {
+		r, err := setup.Execute(context.Background(), k)
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		want[i] = r
 	}
-	if direct != viaSweep {
-		t.Fatalf("Execute and Sweep.Get disagree:\n%+v\n%+v", direct, viaSweep)
+	for _, workers := range []int{1, 3} {
+		got, err := NewSweepConfig(setup, runner.Config[RunKey]{Workers: workers}).Results(context.Background(), keys)
+		if err != nil {
+			t.Fatalf("Sweep: %v", err)
+		}
+		for i, k := range keys {
+			if got[k] != want[i] {
+				t.Errorf("%d workers: Execute and the Sweep disagree on %s:\n%+v\n%+v", workers, k, want[i], got[k])
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"quetzal/internal/device"
 	"quetzal/internal/energy"
@@ -19,6 +20,7 @@ import (
 	"quetzal/internal/metrics"
 	"quetzal/internal/runner"
 	"quetzal/internal/sim"
+	"quetzal/internal/trace"
 )
 
 // Profile registry names accepted by RunKey.Profile.
@@ -195,10 +197,93 @@ func (s Setup) runKey(ctx context.Context, k RunKey) (metrics.Results, error) {
 
 // Sweep executes run plans against one base Setup through a shared
 // memoizing pool: every unique RunKey is simulated exactly once no matter
-// how many figures — or concurrent figure goroutines — request it.
+// how many figures — or concurrent figure goroutines — request it. Keys
+// that differ only in what Traces does not read (the system, the engine,
+// simulator-level deviations) share one generated trace pair.
 type Sweep struct {
-	Setup Setup
-	pool  *runner.Pool[RunKey, metrics.Results]
+	Setup  Setup
+	pool   *runner.Pool[RunKey, metrics.Results]
+	traces traceShare
+}
+
+// run is the pool's run function: runKey over shared traces.
+func (sw *Sweep) run(ctx context.Context, k RunKey) (metrics.Results, error) {
+	resolved, mutate, err := sw.Setup.resolve(k)
+	if err != nil {
+		return metrics.Results{}, err
+	}
+	power, events := sw.traces.get(resolved, k.Env)
+	return resolved.simulate(ctx, k.System, k.Env, mutate, power, events)
+}
+
+// traceKey is everything Setup.Traces reads of a resolved setup and an
+// environment.
+type traceKey struct {
+	seed        int64
+	numEvents   int
+	cells       int
+	maxDuration float64
+}
+
+// traceEntry is one generated trace pair.
+type traceEntry struct {
+	key    traceKey
+	power  trace.PowerTrace
+	events *trace.EventTrace
+}
+
+// traceShare hands the keys of a Sweep the trace pairs they resolve to,
+// generating each pair once while it is in use. A plan lists the keys of
+// one (seed, environment) next to each other (baseKeys), so it holds at
+// most one pair per pool worker and evicts the least recently used one;
+// the traces are read-only, so concurrent runs share them freely.
+type traceShare struct {
+	mu      sync.Mutex
+	size    int          // one entry per pool worker
+	entries []traceEntry // least recently used first
+}
+
+// get returns s.Traces(env), shared with earlier keys when they match.
+func (c *traceShare) get(s Setup, env Environment) (trace.PowerTrace, *trace.EventTrace) {
+	k := traceKey{seed: s.Seed, numEvents: s.NumEvents, cells: s.Cells, maxDuration: env.MaxDuration}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.take(k)
+	if !ok {
+		// Drop the eldest pair before generating, so it can be collected
+		// while the new one is built; generate outside the lock.
+		c.makeRoom()
+		c.mu.Unlock()
+		e = traceEntry{key: k}
+		e.power, e.events = s.Traces(env)
+		c.mu.Lock()
+		if held, ok := c.take(k); ok {
+			e = held // another worker generated the same pair meanwhile
+		}
+		c.makeRoom()
+	}
+	c.entries = append(c.entries, e)
+	return e.power, e.events
+}
+
+// makeRoom evicts the least recently used entry when the share is full.
+// Callers hold mu.
+func (c *traceShare) makeRoom() {
+	if len(c.entries) >= c.size {
+		c.entries[0] = traceEntry{}
+		c.entries = append(c.entries[:0], c.entries[1:]...)
+	}
+}
+
+// take removes and returns the entry for k, when held. Callers hold mu.
+func (c *traceShare) take(k traceKey) (traceEntry, bool) {
+	for i, e := range c.entries {
+		if e.key == k {
+			c.entries = append(c.entries[:i], c.entries[i+1:]...)
+			return e, true
+		}
+	}
+	return traceEntry{}, false
 }
 
 // NewSweep builds a sweep with default pool settings (one worker per CPU,
@@ -211,7 +296,8 @@ func NewSweep(s Setup) *Sweep {
 // per-run timeout, progress callback).
 func NewSweepConfig(s Setup, cfg runner.Config[RunKey]) *Sweep {
 	sw := &Sweep{Setup: s}
-	sw.pool = runner.New(s.runKey, cfg)
+	sw.pool = runner.New(sw.run, cfg)
+	sw.traces.size = sw.pool.Workers()
 	return sw
 }
 

@@ -11,6 +11,7 @@ import (
 	"quetzal/internal/report"
 	"quetzal/internal/runner"
 	"quetzal/internal/sim"
+	"quetzal/internal/trace"
 )
 
 // sweepSetup is a fast base setup for sweep tests: few events on the
@@ -196,5 +197,40 @@ func TestDiscardRowZeroDenominator(t *testing.T) {
 	}
 	if got := tbl.Rows[0][4]; got != "n/a" {
 		t.Errorf("falseneg cell with zero arrivals = %q, want n/a", got)
+	}
+}
+
+// TestTraceShareBoundedLRU pins the Sweep's trace sharing: keys resolving to
+// the same trace inputs get the same pair, a different environment or seed
+// gets its own, and at most one pair per worker is held, least recently
+// used out first.
+func TestTraceShareBoundedLRU(t *testing.T) {
+	s := DefaultSetup()
+	s.NumEvents = 5
+	other := s
+	other.Seed++
+	c := traceShare{size: 2}
+	get := func(s Setup, env Environment) *trace.EventTrace {
+		t.Helper()
+		_, events := c.get(s, env)
+		if len(c.entries) > c.size {
+			t.Fatalf("holding %d pairs, bound %d", len(c.entries), c.size)
+		}
+		return events
+	}
+	a := get(s, Crowded)
+	if get(s, Environment{Name: "twin", MaxDuration: Crowded.MaxDuration}) != a {
+		t.Fatal("same trace inputs under another environment name not shared")
+	}
+	b := get(s, LessCrowded)
+	if b == a || get(s, Crowded) != a {
+		t.Fatal("distinct environments shared a pair, or a held pair was regenerated")
+	}
+	// Held, least recent first: b, a. Another seed evicts b.
+	if get(other, Crowded) == a || get(s, Crowded) != a {
+		t.Fatal("distinct seeds shared a pair, or a held pair was regenerated")
+	}
+	if get(s, LessCrowded) == b {
+		t.Fatal("evicted pair still handed out")
 	}
 }

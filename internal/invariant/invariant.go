@@ -1,7 +1,9 @@
 // Package invariant is the runtime correctness layer of the simulator: a
-// pluggable checker that both engines (fixed-increment and event-driven)
-// drive every step/segment and once at end-of-run. It asserts the physical
-// and accounting invariants the paper's E[S]/E[N] predictions rest on:
+// checker the engine's machine owns and calls directly after every
+// committed step — each fixed increment, each event-driven segment, and
+// each step the crawl replay commits out of line — and once at end-of-run.
+// It asserts the physical and accounting invariants the paper's E[S]/E[N]
+// predictions rest on:
 //
 //   - energy-store bounds: stored energy stays within [0, capacity];
 //   - energy conservation: stored = initial + harvested − consumed − leaked
@@ -124,14 +126,14 @@ func New(cfg Config) *Checker {
 	return &Checker{cfg: cfg, prevNow: -1}
 }
 
+// Steps, MaxDriftJ and PeakBufferLen summarize what the checker observed.
+// They are the contract of the engine's replay-parity tests: a run whose
+// crawl replay commits steps out of line must leave the checker with
+// exactly the step count, maximum drift and peak occupancy of the same run
+// stepped one segment at a time.
+
 // Steps returns how many observations the checker has processed.
 func (c *Checker) Steps() int { return c.steps }
-
-// Violations returns the recorded violations (bounded by MaxRecorded).
-func (c *Checker) Violations() []Violation { return c.violations }
-
-// TotalViolations returns the count of all violations, recorded or not.
-func (c *Checker) TotalViolations() int { return c.total }
 
 // MaxDriftJ reports the largest energy-conservation drift observed, even
 // when it stayed within tolerance — useful for calibrating EnergyTolJ.
@@ -151,8 +153,9 @@ func (c *Checker) record(name string, now float64, format string, args ...any) {
 
 // Step checks the per-step invariants against one observation. The
 // simulator calls it after every step (fixed-increment) or segment
-// (event-driven).
-func (c *Checker) Step(st StepState) {
+// (event-driven), and for every step its crawl replay commits, passing an
+// observation it fills in place; st is only read during the call.
+func (c *Checker) Step(st *StepState) {
 	c.steps++
 	tol := c.cfg.EnergyTolJ
 
@@ -164,7 +167,7 @@ func (c *Checker) Step(st StepState) {
 	c.prevNow = st.Now
 
 	// Store bounds: [0, capacity] within tolerance.
-	s := st.Store
+	s := &st.Store
 	if s.Energy < -tol || s.Energy > s.Capacity+tol {
 		c.record("store-bounds", st.Now, "stored %.9g J outside [0, %.9g]", s.Energy, s.Capacity)
 	}
@@ -220,7 +223,7 @@ func (c *Checker) Step(st StepState) {
 // run produced (per-step ones included), joined into a single error; nil
 // when the run was clean.
 func (c *Checker) Finish(fs FinalState) error {
-	c.Step(fs.StepState) // final state obeys the per-step invariants too
+	c.Step(&fs.StepState) // final state obeys the per-step invariants too
 	r := fs.Results
 
 	// Input conservation: every arrival that was offered to the buffer is

@@ -8,8 +8,8 @@ import (
 )
 
 // cleanStep returns a physically consistent observation at time t.
-func cleanStep(t float64) StepState {
-	return StepState{
+func cleanStep(t float64) *StepState {
+	return &StepState{
 		Now: t,
 		Store: StoreState{
 			Energy:    0.10,
@@ -29,7 +29,7 @@ func TestCleanRunPasses(t *testing.T) {
 		c.Step(cleanStep(float64(i) * 0.001))
 	}
 	fs := FinalState{
-		StepState: cleanStep(1.0),
+		StepState: *cleanStep(1.0),
 		Results: metrics.Results{
 			SimSeconds: 1, Captures: 10, Arrivals: 8, InterestingArrivals: 4,
 			IBODropsInteresting: 1, IBODropsOther: 1, SojournCount: 3, JobAborts: 1,
@@ -111,7 +111,7 @@ func TestInputConservation(t *testing.T) {
 	c := New(Config{})
 	c.Step(cleanStep(0))
 	fs := FinalState{
-		StepState: cleanStep(1),
+		StepState: *cleanStep(1),
 		Results: metrics.Results{
 			SimSeconds: 1, Captures: 10, Arrivals: 8, SojournCount: 3,
 		},
@@ -127,7 +127,7 @@ func TestCaptureConservation(t *testing.T) {
 	c := New(Config{})
 	c.Step(cleanStep(0))
 	fs := FinalState{
-		StepState: cleanStep(1),
+		StepState: *cleanStep(1),
 		Results: metrics.Results{
 			SimSeconds: 1, Captures: 5, CaptureMisses: 0, Arrivals: 7,
 			SojournCount: 7,
@@ -143,7 +143,7 @@ func TestCaptureConservation(t *testing.T) {
 func TestEnergyFeasibility(t *testing.T) {
 	c := New(Config{})
 	c.Step(cleanStep(0))
-	fs := FinalState{StepState: cleanStep(1)}
+	fs := FinalState{StepState: *cleanStep(1)}
 	fs.Results.SimSeconds = 1
 	fs.Results.HarvestedJoules = 0.05
 	fs.Results.ConsumedJoules = 10 // far beyond harvested + initial store
@@ -158,7 +158,7 @@ func TestEnergyFeasibility(t *testing.T) {
 func TestStatsMismatch(t *testing.T) {
 	c := New(Config{})
 	c.Step(cleanStep(0))
-	fs := FinalState{StepState: cleanStep(1)}
+	fs := FinalState{StepState: *cleanStep(1)}
 	fs.Results.SimSeconds = 1
 	fs.Results.HarvestedJoules = 99 // does not match the store's counter
 	err := c.Finish(fs)
@@ -188,11 +188,19 @@ func TestViolationsJoinedAndBounded(t *testing.T) {
 			t.Errorf("error missing %q:\n%s", want, msg)
 		}
 	}
-	if len(c.Violations()) != 3 {
-		t.Errorf("recorded %d violations, want 3", len(c.Violations()))
+	// Three recorded violations plus the overflow note.
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		t.Fatalf("error %T does not join its violations", err)
 	}
-	if c.TotalViolations() <= 3 {
-		t.Errorf("total %d, want > 3", c.TotalViolations())
+	errs := joined.Unwrap()
+	if len(errs) != 4 {
+		t.Fatalf("joined %d errors, want 3 violations + 1 overflow note:\n%s", len(errs), msg)
+	}
+	for _, e := range errs[:3] {
+		if _, ok := e.(Violation); !ok {
+			t.Errorf("recorded error %T is not a Violation", e)
+		}
 	}
 }
 

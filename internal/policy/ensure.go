@@ -31,7 +31,13 @@ type EnSuRe struct {
 	period  float64
 	k       int
 
-	items []EnSuReItem // scratch, reused across decisions
+	// Scratch reused across decisions: the pending items, the planner's
+	// deadline-ordered copy, its k-largest set, the windows and the
+	// decision's options.
+	items, sorted []EnSuReItem
+	top           []float64
+	windows       []BackupWindow
+	opts          []int
 }
 
 // DefaultEnSuReFaults is the registry's k: the backup slack covers up to
@@ -152,9 +158,9 @@ func (e *EnSuRe) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool)
 		return core.Decision{BufferIndex: -1, JobID: -1}, false
 	}
 
-	windows := PlanBackups(e.items, e.k)
+	e.windows, e.sorted, e.top = planBackups(e.windows[:0], e.sorted[:0], e.top[:0], e.items, e.k)
 	start := 0.0
-	for _, w := range windows {
+	for _, w := range e.windows {
 		if w.ID == selected {
 			start = w.Start
 			break
@@ -166,10 +172,11 @@ func (e *EnSuRe) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool)
 	if di >= 0 && nOpts > 1 && env.Now+serviceAt(selJob, di, 0, env.InputPower) > start {
 		choice = nOpts - 1 // primary would eat the reserved backup slack
 	}
+	e.opts = zeroed(e.opts, len(selJob.Tasks))
 	dec := core.Decision{
 		BufferIndex: selected,
 		JobID:       selJob.ID,
-		Options:     make([]int, len(selJob.Tasks)),
+		Options:     e.opts,
 		PredictedS:  serviceAt(selJob, di, choice, env.InputPower),
 	}
 	dec.ModelS = dec.PredictedS
@@ -197,19 +204,35 @@ func indexOf(items []EnSuReItem, id int) int {
 // due no later than it, and its backup window starts at deadline − slack.
 // The input slice is not modified.
 func PlanBackups(items []EnSuReItem, k int) []BackupWindow {
+	out, _, _ := planBackups(nil, nil, nil, items, k)
+	return out
+}
+
+// planBackups is PlanBackups appending to out, with sorted and top as
+// reusable scratch (all three passed with length 0); it returns the three
+// slices for reuse. The deadline order is a stable insertion sort (items
+// are one buffer's inputs), so items with equal keys keep their input
+// order.
+func planBackups(out []BackupWindow, sorted []EnSuReItem, top []float64, items []EnSuReItem, k int) ([]BackupWindow, []EnSuReItem, []float64) {
 	if k < 1 {
 		k = 1
 	}
-	sorted := append([]EnSuReItem(nil), items...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Deadline != sorted[j].Deadline {
-			return sorted[i].Deadline < sorted[j].Deadline
+	before := func(a, b EnSuReItem) bool {
+		if a.Deadline != b.Deadline {
+			return a.Deadline < b.Deadline
 		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	out := make([]BackupWindow, len(sorted))
-	top := make([]float64, 0, k) // k largest Exec over the prefix, ascending
-	for i, it := range sorted {
+		return a.ID < b.ID
+	}
+	for _, it := range items {
+		sorted = append(sorted, it)
+		j := len(sorted) - 1
+		for ; j > 0 && before(it, sorted[j-1]); j-- {
+			sorted[j] = sorted[j-1]
+		}
+		sorted[j] = it
+	}
+	// top holds the k largest Exec over the prefix, ascending.
+	for _, it := range sorted {
 		// Insert it.Exec, keeping the k largest.
 		pos := sort.SearchFloat64s(top, it.Exec)
 		if len(top) < k {
@@ -224,9 +247,9 @@ func PlanBackups(items []EnSuReItem, k int) []BackupWindow {
 		for _, v := range top {
 			reserve += v
 		}
-		out[i] = BackupWindow{ID: it.ID, Start: it.Deadline - reserve, Deadline: it.Deadline, Exec: it.Exec}
+		out = append(out, BackupWindow{ID: it.ID, Start: it.Deadline - reserve, Deadline: it.Deadline, Exec: it.Exec})
 	}
-	return out
+	return out, sorted, top
 }
 
 // FaultFreeFeasible reports whether the deadline-ordered primaries, run

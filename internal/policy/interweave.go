@@ -21,7 +21,8 @@ import (
 // energy-feasible it still dispatches the fastest one rather than waiting
 // (pinned by TestInterweaveNeverIdles).
 type Interweave struct {
-	app *model.App
+	app  *model.App
+	opts []int // Decision.Options, reused across decisions
 }
 
 // NewInterweave builds the strategy.
@@ -96,10 +97,11 @@ func (w *Interweave) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, b
 		return core.Decision{BufferIndex: -1, JobID: -1}, false
 	}
 	di, _ := degradableOptions(bestJob)
+	w.opts = zeroed(w.opts, len(bestJob.Tasks))
 	dec := core.Decision{
 		BufferIndex: bestIdx,
 		JobID:       bestJob.ID,
-		Options:     make([]int, len(bestJob.Tasks)),
+		Options:     w.opts,
 		PredictedS:  bestS,
 	}
 	dec.ModelS = bestS

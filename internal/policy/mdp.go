@@ -40,6 +40,15 @@ type MDP struct {
 	period  float64
 
 	memo map[mdpKey][]uint8 // state → best option, per quantized (job, power, λ)
+	opts []int              // Decision.Options, reused across decisions
+
+	// Scratch reused by every solve, so a solve allocates only the table it
+	// memoizes: the epoch value vectors, each (state, action) pair's reward
+	// and successor state, and the per-action service time, energy and
+	// quality.
+	value, next, reward []float64
+	succ                []int32
+	svc, nrg, qual      []float64
 }
 
 const (
@@ -124,10 +133,11 @@ func (m *MDP) NextJob(env core.Env, buf *buffer.Buffer) (core.Decision, bool) {
 	}
 	choice := m.Choose(env, job)
 	di, _ := degradableOptions(job)
+	m.opts = zeroed(m.opts, len(job.Tasks))
 	dec := core.Decision{
 		BufferIndex: 0,
 		JobID:       job.ID,
-		Options:     make([]int, len(job.Tasks)),
+		Options:     m.opts,
 		PredictedS:  serviceAt(job, di, choice, env.InputPower),
 	}
 	dec.ModelS = dec.PredictedS
@@ -200,75 +210,107 @@ func storeLevel(energy, capacity float64) int {
 // cell and returns the greedy action per (store level, occupancy) state.
 // All arithmetic is plain float64 on quantized inputs, so the table is a
 // pure function of its key — decisions replay bit-identically across
-// engines.
+// engines. The dynamics are deterministic and the same in every epoch, so
+// each (state, action) pair's reward and successor are computed once and
+// the epochs run over those tables.
 func (m *MDP) solve(job *model.Job, di, nOpts int, pinQ, lamQ float64, bufCap int, storeCap float64) []uint8 {
 	if storeCap <= 0 {
 		storeCap = 1e-3 // degenerate store: plan over a nominal 1 mJ span
 	}
 	nStates := mdpStoreLevels * (bufCap + 1)
-	value := make([]float64, nStates)
-	next := make([]float64, nStates)
+	nPairs := nStates * nOpts
+	value := resize(m.value, nStates)
+	next := resize(m.next, nStates)
+	reward := resize(m.reward, nPairs)
+	succ := resize(m.succ, nPairs)
 	best := make([]uint8, nStates)
 
 	// Per-action service time, energy and quality reward at this power.
-	svc := make([]float64, nOpts)
-	nrg := make([]float64, nOpts)
-	qual := make([]float64, nOpts)
+	svc := resize(m.svc, nOpts)
+	nrg := resize(m.nrg, nOpts)
+	qual := resize(m.qual, nOpts)
 	for a := 0; a < nOpts; a++ {
 		svc[a] = serviceAt(job, di, a, pinQ)
 		nrg[a] = energyAt(job, di, a)
 		qual[a] = 1 - float64(a)/float64(nOpts)
 	}
 
-	for h := 0; h < mdpHorizon; h++ {
-		for level := 0; level < mdpStoreLevels; level++ {
-			e := (float64(level) + 0.5) / mdpStoreLevels * storeCap
-			for occ := 0; occ <= bufCap; occ++ {
-				idx := level*(bufCap+1) + occ
-				bestVal := 0.0
-				bestAct := uint8(0)
-				for a := 0; a < nOpts; a++ {
-					gain := pinQ * svc[a]
-					// Store transition.
-					ne := e - nrg[a] + gain
-					if ne < 0 {
-						ne = 0
-					}
-					if ne > storeCap {
-						ne = storeCap
-					}
-					// Occupancy transition: one served, λ·S arriving.
-					nb := float64(occ) - 1 + lamQ*svc[a]
-					if nb < 0 {
-						nb = 0
-					}
-					overflow := 0.0
-					if nb > float64(bufCap) {
-						overflow = nb - float64(bufCap)
-						nb = float64(bufCap)
-					}
-					r := qual[a] - mdpOverflowW*overflow
-					if nrg[a] > e+gain {
-						// In-plan infeasibility: the store cannot supply the
-						// option even counting harvest during the run.
-						r -= mdpInfeasibleW
-					}
-					nl := storeLevel(ne, storeCap)
-					no := int(nb + 0.5)
-					if no > bufCap {
-						no = bufCap
-					}
-					val := r + mdpDiscount*value[nl*(bufCap+1)+no]
-					if a == 0 || val > bestVal {
-						bestVal = val
-						bestAct = uint8(a)
-					}
+	for level := 0; level < mdpStoreLevels; level++ {
+		e := (float64(level) + 0.5) / mdpStoreLevels * storeCap
+		for occ := 0; occ <= bufCap; occ++ {
+			pair := (level*(bufCap+1) + occ) * nOpts
+			for a := 0; a < nOpts; a++ {
+				gain := pinQ * svc[a]
+				// Store transition.
+				ne := e - nrg[a] + gain
+				if ne < 0 {
+					ne = 0
 				}
-				next[idx] = bestVal
-				best[idx] = bestAct
+				if ne > storeCap {
+					ne = storeCap
+				}
+				// Occupancy transition: one served, λ·S arriving.
+				nb := float64(occ) - 1 + lamQ*svc[a]
+				if nb < 0 {
+					nb = 0
+				}
+				overflow := 0.0
+				if nb > float64(bufCap) {
+					overflow = nb - float64(bufCap)
+					nb = float64(bufCap)
+				}
+				r := qual[a] - mdpOverflowW*overflow
+				if nrg[a] > e+gain {
+					// In-plan infeasibility: the store cannot supply the
+					// option even counting harvest during the run.
+					r -= mdpInfeasibleW
+				}
+				nl := storeLevel(ne, storeCap)
+				no := int(nb + 0.5)
+				if no > bufCap {
+					no = bufCap
+				}
+				reward[pair+a] = r
+				succ[pair+a] = int32(nl*(bufCap+1) + no)
 			}
+		}
+	}
+
+	clear(value)
+	for h := 0; h < mdpHorizon; h++ {
+		for idx, pair := 0, 0; idx < nStates; idx, pair = idx+1, pair+nOpts {
+			bestVal := 0.0
+			bestAct := uint8(0)
+			for a := 0; a < nOpts; a++ {
+				val := reward[pair+a] + mdpDiscount*value[succ[pair+a]]
+				if a == 0 || val > bestVal {
+					bestVal = val
+					bestAct = uint8(a)
+				}
+			}
+			next[idx] = bestVal
+			best[idx] = bestAct
 		}
 		value, next = next, value
 	}
+	m.value, m.next, m.reward, m.succ = value, next, reward, succ
+	m.svc, m.nrg, m.qual = svc, nrg, qual
 	return best
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is resize with every element zero: a strategy's reused
+// Decision.Options, valid until its next NextJob (hosts copy it).
+func zeroed(s []int, n int) []int {
+	s = resize(s, n)
+	clear(s)
+	return s
 }

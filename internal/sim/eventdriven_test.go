@@ -7,6 +7,7 @@ import (
 
 	"quetzal/internal/core"
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/metrics"
 	"quetzal/internal/trace"
 )
@@ -105,12 +106,13 @@ func TestEventDrivenMatchesFixedIncrement(t *testing.T) {
 	}
 }
 
-// TestEventDrivenReplaysCrawl: an unchecked sim.EventDriven run of a starved
-// scenario replays its brown-out crawl, and both its results and its event
-// stream are identical to the checked run, whose invariant observer keeps
-// the replay off.
+// TestEventDrivenReplaysCrawl: a sim.EventDriven run of a starved scenario
+// replays its brown-out crawl with checks on and off, and its results, its
+// event stream and (checked) its invariant checker's statistics are
+// identical to the replay-off reference, a checked run that carries a no-op
+// observer.
 func TestEventDrivenReplaysCrawl(t *testing.T) {
-	run := func(checks CheckMode) (*Simulator, string) {
+	run := func(checks CheckMode, replayOff bool) (*Simulator, string) {
 		prof := device.Apollo4()
 		app := prof.PersonDetectionApp()
 		var log bytes.Buffer
@@ -128,25 +130,39 @@ func TestEventDrivenReplaysCrawl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if replayOff {
+			s.Machine().Observe(engine.FuncObserver{})
+		}
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return s, log.String()
 	}
-	checked, checkedLog := run(ChecksOn)
-	unchecked, uncheckedLog := run(ChecksOff)
-
-	if n := unchecked.Machine().ReplayedSteps(); n == 0 {
-		t.Error("unchecked event-driven run never replayed the crawl")
+	ref, refLog := run(ChecksOn, true)
+	if n := ref.Machine().ReplayedSteps(); n != 0 {
+		t.Fatalf("reference replayed %d steps; its observer must keep the replay off", n)
 	}
-	if n := checked.Machine().ReplayedSteps(); n != 0 {
-		t.Errorf("checked run replayed %d steps; its observer must keep the replay off", n)
-	}
-	if diffs := metrics.Diff(checked.Results(), unchecked.Results(), metrics.Tolerance{}); len(diffs) > 0 {
-		t.Errorf("unchecked results diverged from the checked run:\n%v", diffs)
-	}
-	if checkedLog != uncheckedLog {
-		t.Error("unchecked event stream diverged from the checked run")
+	for _, arm := range []struct {
+		name   string
+		checks CheckMode
+	}{{"checked", ChecksOn}, {"unchecked", ChecksOff}} {
+		s, log := run(arm.checks, false)
+		if n := s.Machine().ReplayedSteps(); n == 0 {
+			t.Errorf("%s event-driven run never replayed the crawl", arm.name)
+		}
+		if diffs := metrics.Diff(ref.Results(), s.Results(), metrics.Tolerance{}); len(diffs) > 0 {
+			t.Errorf("%s results diverged from the replay-off reference:\n%v", arm.name, diffs)
+		}
+		if log != refLog {
+			t.Errorf("%s event stream diverged from the replay-off reference", arm.name)
+		}
+		if c := s.Checker(); c != nil {
+			rc := ref.Checker()
+			if c.Steps() != rc.Steps() || c.MaxDriftJ() != rc.MaxDriftJ() || c.PeakBufferLen() != rc.PeakBufferLen() {
+				t.Errorf("checker saw steps %d, drift %g, peak %d; reference %d, %g, %d",
+					c.Steps(), c.MaxDriftJ(), c.PeakBufferLen(), rc.Steps(), rc.MaxDriftJ(), rc.PeakBufferLen())
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
 	"quetzal/internal/invariant"
 	"quetzal/internal/trace"
@@ -209,7 +210,7 @@ func faultyStarvedConfig(t *testing.T, checks CheckMode) Config {
 		Power:      trace.Constant{P: 0.012}, // starved: long recharge crawls
 		Events:     steadyEvents(5, 10, 5, true),
 		Seed:       11,
-		Checks:     checks, // observers disable the crawl replay
+		Checks:     checks,
 		Faults: faults.Spec{
 			TaskFaultPct: 100, TaskFaultLimit: 2,
 			DropoutStartS: 20, DropoutDurS: 10,
@@ -219,13 +220,13 @@ func faultyStarvedConfig(t *testing.T, checks CheckMode) Config {
 }
 
 // TestLockstepFaultsBitIdenticalAndEngaged proves two things at once: with
-// the realism layer active the unchecked event-driven run still commits the
-// checked run's exact trajectory (results and event stream bit-identical;
-// the invariant observer keeps the checked run off the replay), and it does
-// so while actually replaying crawl segments — not by silently falling back
-// to the slow path.
+// the realism layer active, the checked and the unchecked event-driven runs
+// still commit the exact trajectory of the replay-off reference (a checked
+// run carrying a no-op observer): results and event stream bit-identical,
+// and the same checker statistics. And they do so while actually replaying
+// crawl segments — not by silently falling back to the slow path.
 func TestLockstepFaultsBitIdenticalAndEngaged(t *testing.T) {
-	run := func(checks CheckMode) (Config, *Simulator, string) {
+	run := func(checks CheckMode, replayOff bool) (*Simulator, string) {
 		cfg := faultyStarvedConfig(t, checks)
 		var log bytes.Buffer
 		bw := bufio.NewWriter(&log)
@@ -234,31 +235,43 @@ func TestLockstepFaultsBitIdenticalAndEngaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if replayOff {
+			s.Machine().Observe(engine.FuncObserver{})
+		}
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return cfg, s, log.String()
+		return s, log.String()
 	}
-	_, ev, evLog := run(ChecksOn)
-	_, ls, lsLog := run(ChecksOff)
-
-	if evRes, lsRes := ev.Results(), ls.Results(); evRes != lsRes {
-		t.Errorf("unchecked results diverged from the checked run:\nchecked:   %+v\nunchecked: %+v", evRes, lsRes)
+	ref, refLog := run(ChecksOn, true)
+	if n := ref.Machine().ReplayedSteps(); n != 0 {
+		t.Errorf("reference replayed %d steps; it must take the per-segment path", n)
 	}
-	if evLog != lsLog {
-		t.Error("unchecked event stream diverged from the checked run under faults")
-	}
-	if ev.Machine().ReplayedSteps() != 0 {
-		t.Errorf("checked run replayed %d steps; the reference must take the per-segment path", ev.Machine().ReplayedSteps())
-	}
-	if ls.Machine().ReplayedSteps() == 0 {
-		t.Error("crawl replay never engaged under faults; the fast path silently degraded to per-segment stepping")
-	}
-	if ls.Results().TransientFaults == 0 {
+	if ref.Results().TransientFaults == 0 {
 		t.Error("starved faulty scenario injected no transient faults; the test exercises nothing")
+	}
+	for _, arm := range []struct {
+		name   string
+		checks CheckMode
+	}{{"checked", ChecksOn}, {"unchecked", ChecksOff}} {
+		s, log := run(arm.checks, false)
+		if got, want := s.Results(), ref.Results(); got != want {
+			t.Errorf("%s results diverged from the reference:\nreference: %+v\n%s: %+v", arm.name, want, arm.name, got)
+		}
+		if log != refLog {
+			t.Errorf("%s event stream diverged from the reference under faults", arm.name)
+		}
+		if s.Machine().ReplayedSteps() == 0 {
+			t.Errorf("%s: crawl replay never engaged under faults; the fast path silently degraded to per-segment stepping", arm.name)
+		}
+		if c, rc := s.Checker(), ref.Checker(); c != nil &&
+			(c.Steps() != rc.Steps() || c.MaxDriftJ() != rc.MaxDriftJ() || c.PeakBufferLen() != rc.PeakBufferLen()) {
+			t.Errorf("checker saw steps %d, drift %g, peak %d; reference %d, %g, %d",
+				c.Steps(), c.MaxDriftJ(), c.PeakBufferLen(), rc.Steps(), rc.MaxDriftJ(), rc.PeakBufferLen())
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"testing"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/sim"
 	"quetzal/internal/simgen"
 )
@@ -63,6 +64,9 @@ type goldenEntry struct {
 
 const goldenPath = "testdata/golden.json"
 
+// noObserver is a no-op observer; registering it turns the crawl replay off.
+var noObserver = engine.FuncObserver{}
+
 // lineCountingHash tees the event stream into a hash and a line count.
 type lineCountingHash struct {
 	h     hash.Hash
@@ -79,6 +83,9 @@ func (w *lineCountingHash) Write(p []byte) (int, error) {
 }
 
 // fingerprint runs one scenario under one engine and hashes its event log.
+// A no-op observer keeps the crawl replay off, so the pinned fingerprints
+// are those of the per-segment path; TestGoldenLockstepParity holds the
+// replay to them.
 func fingerprint(t *testing.T, p simgen.Params, engine sim.EngineKind) goldenEntry {
 	t.Helper()
 	cfg, err := p.Config(engine)
@@ -92,6 +99,7 @@ func fingerprint(t *testing.T, p simgen.Params, engine sim.EngineKind) goldenEnt
 	if err != nil {
 		t.Fatalf("%v: %v", p, err)
 	}
+	s.Machine().Observe(noObserver)
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("%v: %v", p, err)
 	}

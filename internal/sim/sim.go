@@ -83,9 +83,10 @@ type Config struct {
 
 	// Checks toggles the runtime invariant checker (internal/invariant):
 	// energy-store bounds and conservation, buffer bounds, monotonic time,
-	// and end-of-run accounting identities, verified every step/segment.
-	// The default (ChecksAuto) enables it, so every test and experiment
-	// pays the invariant tax; benchmarks opt out with ChecksOff.
+	// and end-of-run accounting identities, verified every step/segment —
+	// including every step the crawl replay commits, which stays engaged
+	// under checks. The default (ChecksAuto) enables it, so every test and
+	// experiment pays the per-step check; benchmarks opt out with ChecksOff.
 	Checks CheckMode
 
 	// EventLog, when non-nil, receives one line per discrete simulation
@@ -142,11 +143,11 @@ const (
 	FixedIncrement = engine.FixedIncrement
 	// EventDriven advances in variable-length segments bounded by the next
 	// discrete event; typically 50–200× faster with statistically matching
-	// results. Without observers on the hot path it also replays brown-out
-	// crawl regimes as constant-addend updates, an order of magnitude
-	// faster on starved workloads; checks, timelines and metrics sinks keep
-	// the per-segment path, with bit-identical results either way (pinned
-	// by golden parity). See engine.EventDriven and DESIGN.md §13.
+	// results. It also replays brown-out crawl regimes as constant-addend
+	// updates, an order of magnitude faster on starved workloads, with the
+	// invariant checker verifying each replayed step; timelines and metrics
+	// sinks keep the per-segment path, with bit-identical results either way
+	// (pinned by golden parity). See engine.EventDriven and DESIGN.md §13.
 	EventDriven = engine.EventDriven
 	// Lockstep selects the same stepper as EventDriven under its own name,
 	// which run ids and store keys carry. See engine.Lockstep.

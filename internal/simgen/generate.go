@@ -5,7 +5,8 @@
 // through both time-advance loops and both sides of the crawl replay:
 // fixed↔event must agree within Tolerance(), and the event-driven stepper
 // with its replay on (checks off) must be bit-identical to it with the
-// replay off (checks on; see sim.EventDriven); the fuzz target FuzzParams
+// replay off (checks on, a no-op observer attached; see Run); the fuzz
+// target FuzzParams
 // drives the same sampler from arbitrary bytes; and Shrink supports
 // minimizing a failing configuration to its smallest still-failing
 // neighbour.
@@ -23,6 +24,7 @@ import (
 	"quetzal/internal/circuit"
 	"quetzal/internal/device"
 	"quetzal/internal/energy"
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/policy"
@@ -330,9 +332,12 @@ func (p Params) Config(engine sim.EngineKind) (sim.Config, error) {
 	}, nil
 }
 
-// Run builds and executes the configuration under the given engine.
-func (p Params) Run(engine sim.EngineKind) (metrics.Results, error) {
-	cfg, err := p.Config(engine)
+// Run builds and executes the configuration under the given engine, checks
+// on, with the crawl replay off: a no-op observer keeps the event-driven
+// stepper on its per-segment path, so Run is the replay-off reference the
+// differential oracle holds the replay arm (RunUnchecked) to.
+func (p Params) Run(kind sim.EngineKind) (metrics.Results, error) {
+	cfg, err := p.Config(kind)
 	if err != nil {
 		return metrics.Results{}, err
 	}
@@ -340,15 +345,16 @@ func (p Params) Run(engine sim.EngineKind) (metrics.Results, error) {
 	if err != nil {
 		return metrics.Results{}, fmt.Errorf("simgen: %v: %w", p, err)
 	}
+	s.Machine().Observe(engine.FuncObserver{})
 	return s.Run()
 }
 
-// RunUnchecked is Run with the invariant checker disabled (sim.ChecksOff) —
-// the configuration under which the event-driven stepper's crawl replay
-// engages (any registered observer forces the per-segment path). The
-// differential oracle uses it for the replay-on arm so the comparison
-// exercises the fast path it certifies; the accounting identities are still
-// verified by the engine's own end-of-run Results.Check.
+// RunUnchecked is the configuration without the invariant checker
+// (sim.ChecksOff) and without Run's no-op observer, so the event-driven
+// stepper's crawl replay engages. The differential oracle uses it for the
+// replay-on arm so the comparison exercises the fast path it certifies;
+// the accounting identities are still verified by the engine's own
+// end-of-run Results.Check.
 func (p Params) RunUnchecked(engine sim.EngineKind) (metrics.Results, error) {
 	cfg, err := p.Config(engine)
 	if err != nil {
