@@ -16,7 +16,7 @@ func app() *model.App { return device.Apollo4().PersonDetectionApp() }
 
 func pushReport(b *buffer.Buffer, n int) {
 	for i := 0; i < n; i++ {
-		b.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: device.ReportJobID}, false)
+		b.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: device.ReportJobID})
 	}
 }
 
@@ -75,8 +75,8 @@ func TestAlwaysDegrade(t *testing.T) {
 func TestFCFSOrderingInBaselines(t *testing.T) {
 	c, _ := NoAdapt(app())
 	b := buffer.New(10)
-	b.Push(buffer.Input{Seq: 7, CapturedAt: 9, JobID: device.DetectJobID}, false)
-	b.Push(buffer.Input{Seq: 8, CapturedAt: 1, JobID: device.ReportJobID}, false)
+	b.Push(buffer.Input{Seq: 7, CapturedAt: 9, JobID: device.DetectJobID})
+	b.Push(buffer.Input{Seq: 8, CapturedAt: 1, JobID: device.ReportJobID})
 	dec, _ := c.NextJob(core.Env{BufferLen: 2, BufferCap: 10}, b)
 	if dec.BufferIndex != 0 || dec.JobID != device.DetectJobID {
 		t.Errorf("decision = %+v, want front of queue", dec)
@@ -186,8 +186,8 @@ func TestCustomPolicyInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buffer.New(10)
-	b.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
-	b.Push(buffer.Input{Seq: 1, JobID: device.DetectJobID}, false)
+	b.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
+	b.Push(buffer.Input{Seq: 1, JobID: device.DetectJobID})
 	dec, _ := c.NextJob(core.Env{BufferLen: 2, BufferCap: 10}, b)
 	if dec.BufferIndex != 1 {
 		t.Errorf("LCFS baseline selected index %d, want 1", dec.BufferIndex)

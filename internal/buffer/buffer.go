@@ -2,8 +2,9 @@
 // as a queue (paper §3.1). The buffer has a fixed capacity limited by device
 // memory (e.g. 10 images on the evaluated platforms, Table 1). Inputs that
 // arrive to a full buffer are lost — those losses are the input buffer
-// overflows (IBOs) the paper exists to prevent — so the buffer counts every
-// drop, split by whether the dropped input was "interesting".
+// overflows (IBOs) the paper exists to prevent. Push reports each loss; the
+// engine counts them in its Results, split by whether the dropped input was
+// "interesting".
 package buffer
 
 import (
@@ -35,23 +36,11 @@ type Input struct {
 	EnqueuedAt float64
 }
 
-// DropStats counts inputs lost at the buffer boundary.
-type DropStats struct {
-	Total             int // all inputs dropped due to a full buffer
-	Interesting       int // dropped inputs that were interesting (the paper's "IBO" losses)
-	Uninteresting     int // dropped inputs that were not
-	ReinsertionsLost  int // dropped re-insertions (input survived stage 1 but its follow-up job was lost)
-	PeakOccupancy     int // high-water mark of buffer occupancy
-	OverflowIncidents int // number of distinct full→drop episodes
-}
-
-// Buffer is a bounded FIFO of Inputs with drop accounting. It is not
-// concurrency-safe; the simulator is single-threaded like the device.
+// Buffer is a bounded FIFO of Inputs. It is not concurrency-safe; the
+// simulator is single-threaded like the device.
 type Buffer struct {
 	items    []Input
 	capacity int
-	drops    DropStats
-	wasFull  bool  // tracks overflow episode boundaries
 	jobIDs   []int // JobIDs' reused result
 }
 
@@ -75,40 +64,16 @@ func (b *Buffer) Capacity() int { return b.capacity }
 // Len returns the current occupancy.
 func (b *Buffer) Len() int { return len(b.items) }
 
-// Free returns the remaining space.
-func (b *Buffer) Free() int { return b.capacity - len(b.items) }
-
 // Full reports whether the buffer is at capacity.
 func (b *Buffer) Full() bool { return len(b.items) == b.capacity }
 
-// Occupancy returns Len/Capacity in [0,1].
-func (b *Buffer) Occupancy() float64 { return float64(len(b.items)) / float64(b.capacity) }
-
-// Push appends an input. If the buffer is full the input is dropped, the
-// drop statistics are updated, and Push reports false. reinsertion marks
-// pushes that re-enter an input for a follow-up job.
-func (b *Buffer) Push(in Input, reinsertion bool) bool {
+// Push appends an input. If the buffer is full the input is dropped and
+// Push reports false.
+func (b *Buffer) Push(in Input) bool {
 	if b.Full() {
-		b.drops.Total++
-		if in.Interesting {
-			b.drops.Interesting++
-		} else {
-			b.drops.Uninteresting++
-		}
-		if reinsertion {
-			b.drops.ReinsertionsLost++
-		}
-		if !b.wasFull {
-			b.drops.OverflowIncidents++
-			b.wasFull = true
-		}
 		return false
 	}
-	b.wasFull = false
 	b.items = append(b.items, in)
-	if len(b.items) > b.drops.PeakOccupancy {
-		b.drops.PeakOccupancy = len(b.items)
-	}
 	return true
 }
 
@@ -118,28 +83,6 @@ func (b *Buffer) Peek() (Input, error) {
 		return Input{}, ErrEmpty
 	}
 	return b.items[0], nil
-}
-
-// Pop removes and returns the oldest input (FIFO order).
-func (b *Buffer) Pop() (Input, error) {
-	if len(b.items) == 0 {
-		return Input{}, ErrEmpty
-	}
-	in := b.items[0]
-	copy(b.items, b.items[1:])
-	b.items = b.items[:len(b.items)-1]
-	return in, nil
-}
-
-// PopNewest removes and returns the most recent input (LIFO order, used by
-// the LCFS scheduling baseline).
-func (b *Buffer) PopNewest() (Input, error) {
-	if len(b.items) == 0 {
-		return Input{}, ErrEmpty
-	}
-	in := b.items[len(b.items)-1]
-	b.items = b.items[:len(b.items)-1]
-	return in, nil
 }
 
 // OldestForJob returns the index of the oldest input awaiting the given job,
@@ -156,17 +99,6 @@ func (b *Buffer) OldestForJob(jobID int) int {
 		}
 	}
 	return best
-}
-
-// PendingForJob counts buffered inputs awaiting the given job.
-func (b *Buffer) PendingForJob(jobID int) int {
-	n := 0
-	for _, in := range b.items {
-		if in.JobID == jobID {
-			n++
-		}
-	}
-	return n
 }
 
 // JobIDs returns the distinct JobIDs with at least one pending input, in
@@ -230,12 +162,5 @@ func (b *Buffer) At(i int) (Input, error) {
 	return b.items[i], nil
 }
 
-// Drops returns a copy of the drop statistics.
-func (b *Buffer) Drops() DropStats { return b.drops }
-
-// Reset empties the buffer and clears statistics.
-func (b *Buffer) Reset() {
-	b.items = b.items[:0]
-	b.drops = DropStats{}
-	b.wasFull = false
-}
+// Reset empties the buffer.
+func (b *Buffer) Reset() { b.items = b.items[:0] }

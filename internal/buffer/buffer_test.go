@@ -26,109 +26,61 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 func TestFIFOOrder(t *testing.T) {
 	b := New(3)
 	for i := uint64(0); i < 3; i++ {
-		if !b.Push(in(i, float64(i), false, 0), false) {
+		if !b.Push(in(i, float64(i), false, 0)) {
 			t.Fatalf("Push %d rejected", i)
 		}
 	}
+	// Serving the head each time (Peek, then RemoveAt(0)) yields capture order.
 	for i := uint64(0); i < 3; i++ {
-		got, err := b.Pop()
+		got, err := b.Peek()
 		if err != nil {
-			t.Fatalf("Pop: %v", err)
+			t.Fatalf("Peek: %v", err)
 		}
 		if got.Seq != i {
-			t.Errorf("Pop seq = %d, want %d", got.Seq, i)
+			t.Errorf("head seq = %d, want %d", got.Seq, i)
+		}
+		if _, err := b.RemoveAt(0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := b.Pop(); err != ErrEmpty {
-		t.Errorf("Pop on empty = %v, want ErrEmpty", err)
-	}
-}
-
-func TestPopNewestLIFO(t *testing.T) {
-	b := New(3)
-	for i := uint64(0); i < 3; i++ {
-		b.Push(in(i, float64(i), false, 0), false)
-	}
-	got, err := b.PopNewest()
-	if err != nil || got.Seq != 2 {
-		t.Errorf("PopNewest = (%v, %v), want seq 2", got.Seq, err)
-	}
-	if _, err := New(1).PopNewest(); err != ErrEmpty {
-		t.Errorf("PopNewest on empty = %v, want ErrEmpty", err)
+	if _, err := b.Peek(); err != ErrEmpty {
+		t.Errorf("Peek on empty = %v, want ErrEmpty", err)
 	}
 }
 
 func TestOverflowAccounting(t *testing.T) {
 	b := New(2)
-	b.Push(in(0, 0, false, 0), false)
-	b.Push(in(1, 1, false, 0), false)
-	// Buffer full: interesting drop, uninteresting drop, lost reinsertion.
-	if b.Push(in(2, 2, true, 0), false) {
-		t.Fatal("Push into full buffer succeeded")
+	b.Push(in(0, 0, false, 0))
+	b.Push(in(1, 1, false, 0))
+	// Full: the newcomer is the one lost, interesting or not, and the
+	// buffered inputs stay where they are.
+	for seq := uint64(2); seq < 4; seq++ {
+		if b.Push(in(seq, float64(seq), seq == 2, 0)) {
+			t.Fatalf("Push %d into full buffer succeeded", seq)
+		}
 	}
-	b.Push(in(3, 3, false, 0), false)
-	b.Push(in(4, 4, true, 1), true)
-	d := b.Drops()
-	if d.Total != 3 || d.Interesting != 2 || d.Uninteresting != 1 {
-		t.Errorf("drops = %+v, want Total 3 / Interesting 2 / Uninteresting 1", d)
+	for i, want := range []uint64{0, 1} {
+		if got, _ := b.At(i); got.Seq != want {
+			t.Errorf("At(%d).Seq = %d, want %d", i, got.Seq, want)
+		}
 	}
-	if d.ReinsertionsLost != 1 {
-		t.Errorf("ReinsertionsLost = %d, want 1", d.ReinsertionsLost)
-	}
-	if d.OverflowIncidents != 1 {
-		t.Errorf("OverflowIncidents = %d, want 1 (one contiguous episode)", d.OverflowIncidents)
-	}
-	// Drain one, refill, overflow again: second episode.
-	if _, err := b.Pop(); err != nil {
+	// Serving one input makes room for exactly one more.
+	if _, err := b.RemoveAt(0); err != nil {
 		t.Fatal(err)
 	}
-	b.Push(in(5, 5, false, 0), false)
-	b.Push(in(6, 6, false, 0), false)
-	if got := b.Drops().OverflowIncidents; got != 2 {
-		t.Errorf("OverflowIncidents = %d, want 2", got)
-	}
-}
-
-func TestPeakOccupancy(t *testing.T) {
-	b := New(5)
-	b.Push(in(0, 0, false, 0), false)
-	b.Push(in(1, 0, false, 0), false)
-	b.Push(in(2, 0, false, 0), false)
-	b.Pop()
-	b.Pop()
-	if got := b.Drops().PeakOccupancy; got != 3 {
-		t.Errorf("PeakOccupancy = %d, want 3", got)
-	}
-}
-
-func TestOccupancyFraction(t *testing.T) {
-	b := New(4)
-	if b.Occupancy() != 0 {
-		t.Errorf("empty Occupancy = %g, want 0", b.Occupancy())
-	}
-	b.Push(in(0, 0, false, 0), false)
-	if b.Occupancy() != 0.25 {
-		t.Errorf("Occupancy = %g, want 0.25", b.Occupancy())
-	}
-	if b.Free() != 3 {
-		t.Errorf("Free = %d, want 3", b.Free())
+	if !b.Push(in(5, 5, false, 0)) || b.Push(in(6, 6, false, 0)) {
+		t.Error("after one removal, want one accepted push and one drop")
 	}
 }
 
 func TestJobSelection(t *testing.T) {
 	b := New(10)
 	// Inputs awaiting job 0 and job 1, interleaved and out of capture order.
-	b.Push(Input{Seq: 5, CapturedAt: 5, JobID: 1}, false)
-	b.Push(Input{Seq: 1, CapturedAt: 1, JobID: 0}, false)
-	b.Push(Input{Seq: 3, CapturedAt: 3, JobID: 1, EnqueuedAt: 9}, false)
-	b.Push(Input{Seq: 2, CapturedAt: 2, JobID: 0}, false)
+	b.Push(Input{Seq: 5, CapturedAt: 5, JobID: 1})
+	b.Push(Input{Seq: 1, CapturedAt: 1, JobID: 0})
+	b.Push(Input{Seq: 3, CapturedAt: 3, JobID: 1, EnqueuedAt: 9})
+	b.Push(Input{Seq: 2, CapturedAt: 2, JobID: 0})
 
-	if got := b.PendingForJob(0); got != 2 {
-		t.Errorf("PendingForJob(0) = %d, want 2", got)
-	}
-	if got := b.PendingForJob(7); got != 0 {
-		t.Errorf("PendingForJob(7) = %d, want 0", got)
-	}
 	ids := b.JobIDs()
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 0 {
 		t.Errorf("JobIDs = %v, want [1 0] (first-seen order)", ids)
@@ -158,7 +110,7 @@ func TestJobSelection(t *testing.T) {
 
 func TestAtAndRemoveAtBounds(t *testing.T) {
 	b := New(2)
-	b.Push(in(0, 0, false, 0), false)
+	b.Push(in(0, 0, false, 0))
 	if _, err := b.At(-1); err == nil {
 		t.Error("At(-1) did not error")
 	}
@@ -175,7 +127,7 @@ func TestPeek(t *testing.T) {
 	if _, err := b.Peek(); err != ErrEmpty {
 		t.Errorf("Peek empty = %v, want ErrEmpty", err)
 	}
-	b.Push(in(9, 0, false, 0), false)
+	b.Push(in(9, 0, false, 0))
 	got, err := b.Peek()
 	if err != nil || got.Seq != 9 {
 		t.Errorf("Peek = (%v, %v), want seq 9", got.Seq, err)
@@ -187,11 +139,10 @@ func TestPeek(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	b := New(1)
-	b.Push(in(0, 0, true, 0), false)
-	b.Push(in(1, 0, true, 0), false) // dropped
+	b.Push(in(0, 0, true, 0))
 	b.Reset()
-	if b.Len() != 0 || b.Drops() != (DropStats{}) {
-		t.Errorf("after Reset: Len=%d Drops=%+v", b.Len(), b.Drops())
+	if b.Len() != 0 || !b.Push(in(1, 0, true, 0)) {
+		t.Errorf("after Reset: Len=%d, want an empty buffer that accepts a push", b.Len())
 	}
 }
 
@@ -200,51 +151,35 @@ func TestHugeCapacityDoesNotPreallocate(t *testing.T) {
 	if cap(b.items) > 64 {
 		t.Errorf("preallocated cap = %d, want ≤ 64", cap(b.items))
 	}
-	if !b.Push(in(0, 0, false, 0), false) {
+	if !b.Push(in(0, 0, false, 0)) {
 		t.Error("Push into huge buffer rejected")
 	}
 }
 
 // Property: occupancy never exceeds capacity, and conservation holds —
-// pushes = pops + drops + remaining.
+// pushes = removals + drops + remaining, where a drop is a rejected Push.
 func TestPropertyConservation(t *testing.T) {
 	f := func(seed int64, capRaw uint8, ops uint16) bool {
 		capacity := int(capRaw)%10 + 1
 		rng := rand.New(rand.NewSource(seed))
 		b := New(capacity)
-		pushes, pops := 0, 0
+		pushes, removals, drops := 0, 0, 0
 		for i := 0; i < int(ops); i++ {
 			if rng.Intn(3) != 0 {
-				b.Push(in(uint64(i), float64(i), rng.Intn(2) == 0, rng.Intn(3)), false)
+				if !b.Push(in(uint64(i), float64(i), rng.Intn(2) == 0, rng.Intn(3))) {
+					drops++
+				}
 				pushes++
-			} else if _, err := b.Pop(); err == nil {
-				pops++
+			} else if b.Len() > 0 {
+				if _, err := b.RemoveAt(rng.Intn(b.Len())); err == nil {
+					removals++
+				}
 			}
 			if b.Len() > capacity {
 				return false
 			}
 		}
-		return pushes == pops+b.Drops().Total+b.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: interesting + uninteresting drops always sum to total drops.
-func TestPropertyDropSplit(t *testing.T) {
-	f := func(seed int64, ops uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := New(3)
-		for i := 0; i < int(ops); i++ {
-			if rng.Intn(4) == 0 {
-				b.Pop()
-			} else {
-				b.Push(in(uint64(i), float64(i), rng.Intn(2) == 0, 0), rng.Intn(2) == 0)
-			}
-		}
-		d := b.Drops()
-		return d.Interesting+d.Uninteresting == d.Total && d.ReinsertionsLost <= d.Total
+		return pushes == removals+drops+b.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

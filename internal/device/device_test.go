@@ -164,15 +164,6 @@ func TestFusedPipelineAppStructure(t *testing.T) {
 	}
 }
 
-func TestRatioOpsPerInvocation(t *testing.T) {
-	app := Apollo4().PersonDetectionApp()
-	// 3 tasks total (ml, compress, radio) + 2 options on the widest
-	// degradable task = 5.
-	if got := RatioOpsPerInvocation(app); got != 5 {
-		t.Errorf("RatioOpsPerInvocation = %d, want 5", got)
-	}
-}
-
 func TestInvocationOverheadOrdering(t *testing.T) {
 	for _, mcu := range []MCU{Apollo4MCU(), MSP430MCU()} {
 		tm, em := mcu.InvocationOverhead(10, true)

@@ -269,15 +269,12 @@ func (s *Store) DrawPriority(power, dt float64) float64 {
 	return avail / need
 }
 
-// CanSupply reports whether the store could power the given draw without
-// browning out.
-func (s *Store) CanSupply(power, dt float64) bool {
-	return s.on && power*dt <= s.stored-s.eOff
-}
-
 // SetFraction sets the stored energy to f of the usable range above VOff
-// (f=0 → at brown-out, f=1 → full) and updates the hysteresis state. Used
-// to set initial conditions in experiments.
+// (f=0 → at brown-out, f=1 → full) and updates the hysteresis state.
+//
+// SetFraction is test infrastructure: production runs start from a full
+// store, while tests in several packages use it to set a partly charged or
+// browned-out initial condition without simulating the discharge.
 func (s *Store) SetFraction(f float64) {
 	if f < 0 {
 		f = 0

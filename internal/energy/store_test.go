@@ -145,20 +145,6 @@ func TestHarvestIgnoresNonPositive(t *testing.T) {
 	}
 }
 
-func TestCanSupply(t *testing.T) {
-	s := NewStore(DefaultConfig())
-	if !s.CanSupply(0.001, 1) {
-		t.Error("full store cannot supply 1 mJ?")
-	}
-	if s.CanSupply(1000, 1) {
-		t.Error("store claims to supply 1 kJ")
-	}
-	s.Draw(1000, 1) // brown out
-	if s.CanSupply(0.0001, 1) {
-		t.Error("off store claims to supply")
-	}
-}
-
 func TestSetFraction(t *testing.T) {
 	s := NewStore(DefaultConfig())
 	s.SetFraction(0)

@@ -548,7 +548,7 @@ func (m *Machine) finishCapture(c pendingCapture) {
 		EnqueuedAt:  m.now,
 	}
 	m.nextSeq++
-	if !m.buf.Push(in, false) {
+	if !m.buf.Push(in) {
 		// Input buffer overflow: the event the paper fights.
 		if c.interesting {
 			m.res.IBODropsInteresting++

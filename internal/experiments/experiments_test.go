@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -275,7 +276,8 @@ func TestRunWithTimeline(t *testing.T) {
 	s := smallSetup()
 	s.NumEvents = 20
 	var buf bytes.Buffer
-	res, err := s.RunWithTimeline(SysNoAdapt, Crowded, &buf)
+	timeline := func(c *sim.Config) { c.Timeline = &buf }
+	res, err := s.RunWith(context.Background(), SysNoAdapt, Crowded, timeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +288,8 @@ func TestRunWithTimeline(t *testing.T) {
 		t.Errorf("timeline missing header: %q", buf.String()[:60])
 	}
 	// Ideal short-circuits without a timeline.
-	if _, err := s.RunWithTimeline(SysIdeal, Crowded, &buf); err != nil {
-		t.Errorf("RunWithTimeline(ideal): %v", err)
+	if _, err := s.RunWith(context.Background(), SysIdeal, Crowded, timeline); err != nil {
+		t.Errorf("RunWith(ideal, timeline): %v", err)
 	}
 }
 

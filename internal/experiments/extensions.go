@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"quetzal/internal/metrics"
 	"quetzal/internal/report"
@@ -25,11 +24,6 @@ import (
 // mutate never runs and the sinks stay empty.
 func (s Setup) RunWith(ctx context.Context, systemID string, env Environment, mutate func(*sim.Config)) (metrics.Results, error) {
 	return s.runContext(ctx, systemID, env, mutate)
-}
-
-// RunWithTimeline is Run with a per-second CSV timeline written to w.
-func (s Setup) RunWithTimeline(systemID string, env Environment, w io.Writer) (metrics.Results, error) {
-	return s.RunWith(context.Background(), systemID, env, func(c *sim.Config) { c.Timeline = w })
 }
 
 // JitterStudy sweeps execution-latency jitter (the §8 variable-cost

@@ -81,11 +81,6 @@ type Options struct {
 	// population distributions, and the tail only needs to let in-flight
 	// work settle.
 	DrainTime float64
-	// Checks enables the per-device invariant checker (sim.ChecksOn). The
-	// default runs fleets with checks off: the identities are pinned by the
-	// single-device test layers, and a population sweep optimizes for
-	// throughput.
-	Checks sim.CheckMode
 	// OnProgress, when set, receives (devices done, total) after each shard
 	// folds; calls are serialized and arrive in shard order.
 	OnProgress func(done, total int)
@@ -126,7 +121,6 @@ type fleetRun struct {
 	opts  Options
 	setup experiments.Setup
 	solar *trace.FleetSolar
-	check sim.CheckMode
 }
 
 // newFleetRun resolves the plan into shared fleet state.
@@ -147,10 +141,6 @@ func newFleetRun(plan experiments.FleetPlan, opts Options) (*fleetRun, error) {
 	// may run longer — the regional series extends on demand.
 	refDur := float64(plan.Events)*(5+math.Min(25, plan.Env.MaxDuration)) + opts.DrainTime + 120
 	solarCfg := trace.DefaultSolarConfig(refDur, DeviceSeed(plan.Seed, 0, StreamRegional))
-	checks := sim.ChecksOff
-	if opts.Checks == sim.ChecksOn {
-		checks = sim.ChecksOn
-	}
 	return &fleetRun{
 		plan: plan,
 		opts: opts,
@@ -162,7 +152,6 @@ func newFleetRun(plan experiments.FleetPlan, opts Options) (*fleetRun, error) {
 			Engine:    plan.Engine,
 		},
 		solar: trace.NewFleetSolar(solarCfg, plan.Correlation),
-		check: checks,
 	}, nil
 }
 
@@ -223,8 +212,10 @@ func (f *fleetRun) deviceConfig(i int) (sim.Config, error) {
 		DrainTime:      f.opts.DrainTime,
 		BufferCapacity: bufCap,
 		Seed:           DeviceSeed(plan.Seed, i, StreamSim),
-		Checks:         f.check,
-		Environment:    plan.Env.Name,
+		// Fleets run unchecked: the single-device test layers pin the
+		// identities, and a population sweep optimizes for throughput.
+		Checks:      sim.ChecksOff,
+		Environment: plan.Env.Name,
 	}
 	// Hardware realism: a plan-level spec overrides the environment's own.
 	// The fault seed derives from (fleet seed, device, stream) like every

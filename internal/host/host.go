@@ -106,7 +106,7 @@ func (l *Loop) OnCapture(interesting bool, stored bool) bool {
 		EnqueuedAt:  l.cfg.Now(),
 	}
 	l.seq++
-	if !l.buf.Push(in, false) {
+	if !l.buf.Push(in) {
 		l.Dropped++
 		return false
 	}

@@ -159,22 +159,6 @@ func (r Results) CaptureMissFraction() float64 {
 	return float64(r.MissedInteresting) / float64(tot)
 }
 
-// AvgOccupancy returns the time-averaged buffer occupancy in inputs.
-func (r Results) AvgOccupancy() float64 {
-	if r.SimSeconds <= 0 {
-		return 0
-	}
-	return r.OccupancyIntegral / r.SimSeconds
-}
-
-// AvgSojourn returns the mean capture→departure time of completed inputs.
-func (r Results) AvgSojourn() float64 {
-	if r.SojournCount == 0 {
-		return 0
-	}
-	return r.SojournSum / float64(r.SojournCount)
-}
-
 // Throughput returns completed inputs per second.
 func (r Results) Throughput() float64 {
 	if r.SimSeconds <= 0 {
@@ -335,6 +319,10 @@ func (ft FieldTol) ok(a, b float64) bool {
 // tolerance; string fields must match exactly. Walking the struct by
 // reflection means a future counter is compared automatically — a new
 // field can never silently escape the differential oracle.
+//
+// Diff is test infrastructure: no production path compares two runs. It is
+// exported because the engine, sim and simgen tests share it, so every
+// parity and differential check compares the same fields the same way.
 func Diff(a, b Results, tol Tolerance) []string {
 	var diffs []string
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)

@@ -248,14 +248,3 @@ func (a *App) JobByID(id int) *Job {
 	}
 	return nil
 }
-
-// MaxTasksPerJob returns the longest task sequence, used to size trackers.
-func (a *App) MaxTasksPerJob() int {
-	max := 0
-	for _, j := range a.Jobs {
-		if len(j.Tasks) > max {
-			max = len(j.Tasks)
-		}
-	}
-	return max
-}

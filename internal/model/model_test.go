@@ -183,15 +183,12 @@ func TestAppTaskBudget(t *testing.T) {
 	}
 }
 
-func TestJobByIDAndMaxTasks(t *testing.T) {
+func TestJobByID(t *testing.T) {
 	app := testApp()
 	if got := app.JobByID(1); got == nil || got.Name != "report" {
 		t.Errorf("JobByID(1) = %v", got)
 	}
 	if got := app.JobByID(77); got != nil {
 		t.Errorf("JobByID(77) = %v, want nil", got)
-	}
-	if got := app.MaxTasksPerJob(); got != 2 {
-		t.Errorf("MaxTasksPerJob = %d, want 2", got)
 	}
 }

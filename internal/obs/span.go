@@ -19,7 +19,6 @@ type SpanTrace struct {
 	epoch       time.Time
 	lanes       []time.Time // per-lane busy-until
 	wroteHeader bool
-	spans       int
 	err         error
 }
 
@@ -28,9 +27,6 @@ type SpanTrace struct {
 func NewSpanTrace(w io.Writer, epoch time.Time) *SpanTrace {
 	return &SpanTrace{w: w, epoch: epoch}
 }
-
-// Spans returns how many spans have been recorded.
-func (t *SpanTrace) Spans() int { return t.spans }
 
 // Record adds one completed span. Attrs are rendered into the event's args;
 // values pass through jsonValue, so numbers stay numbers.
@@ -78,7 +74,6 @@ func (t *SpanTrace) Record(name string, start time.Time, d time.Duration, attrs 
 		name, ts, dur, lane+1, args.String()); err != nil {
 		t.err = err
 	}
-	t.spans++
 }
 
 // Close writes the JSON trailer and reports any write error.

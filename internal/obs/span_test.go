@@ -20,9 +20,6 @@ func TestSpanTraceLanes(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Spans(); got != 3 {
-		t.Errorf("Spans() = %d, want 3", got)
-	}
 
 	var doc struct {
 		TraceEvents []struct {
@@ -45,6 +42,9 @@ func TestSpanTraceLanes(t *testing.T) {
 				t.Errorf("%s: non-positive dur %d", ev.Name, ev.Dur)
 			}
 		}
+	}
+	if len(lanes) != 3 {
+		t.Errorf("trace holds %d spans, want 3", len(lanes))
 	}
 	if lanes["run-a"] == lanes["run-b"] {
 		t.Errorf("overlapping spans share lane %d", lanes["run-a"])

@@ -257,6 +257,11 @@ func planBackups(out []BackupWindow, sorted []EnSuReItem, top []float64, items [
 // the admission condition under which the fault-free schedule provably
 // meets every deadline while keeping k re-executions' worth of slack in
 // reserve.
+//
+// FaultFreeFeasible is test infrastructure: EnSuRe's decision path checks
+// only the selected input against its window, and the property test uses
+// this whole-schedule form to pin the guarantee that check relies on — a
+// fault-free schedule it admits meets every deadline.
 func FaultFreeFeasible(items []EnSuReItem, k int, now float64) bool {
 	t := now
 	for _, w := range PlanBackups(items, k) {

@@ -167,7 +167,7 @@ func TestInterweaveNeverIdles(t *testing.T) {
 				Seq:        uint64(i),
 				CapturedAt: float64(i),
 				JobID:      app.Jobs[rng.Intn(len(app.Jobs))].ID,
-			}, false)
+			})
 		}
 		env := core.Env{
 			Now:           float64(trial),

@@ -125,9 +125,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 // F formats a float compactly (3 significant digits).
 func F(v float64) string { return fmt.Sprintf("%.3g", v) }
 
-// F2 formats a float with 2 decimal places.
-func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
 // Pct formats a fraction as a percentage with one decimal.
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 

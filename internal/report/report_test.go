@@ -66,7 +66,6 @@ func TestRenderCSV(t *testing.T) {
 func TestFormatters(t *testing.T) {
 	cases := []struct{ got, want string }{
 		{F(0.123456), "0.123"},
-		{F2(1.005), "1.00"},
 		{Pct(0.4567), "45.7%"},
 		{N(42), "42"},
 		{X(2.918), "2.92x"},

@@ -74,7 +74,7 @@ func randomMix(rng *rand.Rand) (*model.App, *fakeEstimator, *buffer.Buffer) {
 			// Quantized capture times force same-age candidates too.
 			CapturedAt: float64(rng.Intn(8)),
 			JobID:      rng.Intn(numJobs),
-		}, false)
+		})
 	}
 	return app, est, buf
 }

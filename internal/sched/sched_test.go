@@ -47,7 +47,7 @@ func twoJobApp() *model.App {
 }
 
 func push(b *buffer.Buffer, seq uint64, captured float64, job int) {
-	b.Push(buffer.Input{Seq: seq, CapturedAt: captured, JobID: job}, false)
+	b.Push(buffer.Input{Seq: seq, CapturedAt: captured, JobID: job})
 }
 
 func TestExpectedServiceWeightsByProbability(t *testing.T) {

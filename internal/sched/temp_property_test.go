@@ -99,7 +99,7 @@ func quantisedMix(rng *rand.Rand, tempC float64) quantMix {
 			Seq:        uint64(i),
 			CapturedAt: float64(i), // distinct ages keep both tie-breaks total
 			JobID:      rng.Intn(numJobs),
-		}, false)
+		})
 	}
 	return mix
 }

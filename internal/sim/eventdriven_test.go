@@ -138,14 +138,14 @@ func TestEventDrivenReplaysCrawl(t *testing.T) {
 		}
 		return s, log.String()
 	}
-	ref, refLog := run(ChecksOn, true)
+	ref, refLog := run(ChecksAuto, true)
 	if n := ref.Machine().ReplayedSteps(); n != 0 {
 		t.Fatalf("reference replayed %d steps; its observer must keep the replay off", n)
 	}
 	for _, arm := range []struct {
 		name   string
 		checks CheckMode
-	}{{"checked", ChecksOn}, {"unchecked", ChecksOff}} {
+	}{{"checked", ChecksAuto}, {"unchecked", ChecksOff}} {
 		s, log := run(arm.checks, false)
 		if n := s.Machine().ReplayedSteps(); n == 0 {
 			t.Errorf("%s event-driven run never replayed the crawl", arm.name)

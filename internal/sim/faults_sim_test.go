@@ -246,7 +246,7 @@ func TestLockstepFaultsBitIdenticalAndEngaged(t *testing.T) {
 		}
 		return s, log.String()
 	}
-	ref, refLog := run(ChecksOn, true)
+	ref, refLog := run(ChecksAuto, true)
 	if n := ref.Machine().ReplayedSteps(); n != 0 {
 		t.Errorf("reference replayed %d steps; it must take the per-segment path", n)
 	}
@@ -256,7 +256,7 @@ func TestLockstepFaultsBitIdenticalAndEngaged(t *testing.T) {
 	for _, arm := range []struct {
 		name   string
 		checks CheckMode
-	}{{"checked", ChecksOn}, {"unchecked", ChecksOff}} {
+	}{{"checked", ChecksAuto}, {"unchecked", ChecksOff}} {
 		s, log := run(arm.checks, false)
 		if got, want := s.Results(), ref.Results(); got != want {
 			t.Errorf("%s results diverged from the reference:\nreference: %+v\n%s: %+v", arm.name, want, arm.name, got)

@@ -1,14 +1,32 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"quetzal/internal/device"
 	"quetzal/internal/model"
-	"quetzal/internal/queueing"
 	"quetzal/internal/trace"
 )
+
+// md1System is the expected number in an M/D/1 system (Poisson arrivals,
+// deterministic service) at utilization rho < 1: Pollaczek–Khinchine with
+// zero service variance, Lq = ρ²/(2(1−ρ)), plus the one in service.
+func md1System(rho float64) float64 { return rho*rho/(2*(1-rho)) + rho }
+
+// mm1System is the expected number in an M/M/1 system at rho < 1: ρ/(1−ρ).
+func mm1System(rho float64) float64 { return rho / (1 - rho) }
+
+// mm1kBlocking is the probability that an arrival finds an M/M/1/K system
+// (capacity k including the server) full: the analytic input buffer
+// overflow rate. At ρ = 1 the distribution is uniform over 0..k.
+func mm1kBlocking(rho float64, k int) float64 {
+	if math.Abs(rho-1) < 1e-12 {
+		return 1 / float64(k+1)
+	}
+	return (1 - rho) * math.Pow(rho, float64(k)) / (1 - math.Pow(rho, float64(k+1)))
+}
 
 // singleStageApp is a one-task pipeline with deterministic service time s:
 // the closest executable analogue of a single-server queue.
@@ -76,20 +94,20 @@ func TestSimulatorMatchesSingleServerTheory(t *testing.T) {
 	// Effective service includes the capture pipeline's preemption (~4 ms
 	// per capture, i.e. per second).
 	effService := service + 0.004
-	rho := queueing.Utilization(lambda, effService)
+	rho := lambda * effService
 	if rho <= 0.1 || rho >= 0.5 {
 		t.Fatalf("calibration off: ρ = %.3f, want ≈ 0.2", rho)
 	}
 
-	measured := res.AvgOccupancy()
-	lo := queueing.MD1System(rho) * 0.5
-	hi := queueing.MM1Queue(rho) * 2.0
+	measured := res.OccupancyIntegral / res.SimSeconds
+	lo := md1System(rho) * 0.5
+	hi := mm1System(rho) * 2.0
 	if measured < lo || measured > hi {
 		t.Errorf("avg occupancy %.4f outside analytic band [%.4f (M/D/1·0.5), %.4f (M/M/1·2)] at ρ=%.3f",
 			measured, lo, hi, rho)
 	}
 	t.Logf("λ=%.3f ρ=%.3f measured L=%.4f, M/D/1=%.4f, M/M/1=%.4f",
-		lambda, rho, measured, queueing.MD1System(rho), queueing.MM1Queue(rho))
+		lambda, rho, measured, md1System(rho), mm1System(rho))
 }
 
 // With a tiny buffer under overload, measured loss must approach the
@@ -115,14 +133,10 @@ func TestSimulatorBlockingMatchesFiniteQueueTheory(t *testing.T) {
 		t.Fatal(err)
 	}
 	lambda := float64(res.Arrivals) / res.SimSeconds
-	rho := queueing.Utilization(lambda, service+0.004)
-	q, err := queueing.NewMM1K(rho, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rho := lambda * (service + 0.004)
 	dropped := float64(res.IBODropsInteresting + res.IBODropsOther)
 	measured := dropped / float64(res.Arrivals)
-	analytic := q.Blocking()
+	analytic := mm1kBlocking(rho, 5)
 	// Deterministic service loses less than exponential at equal ρ, but in
 	// heavy traffic both approach 1−1/ρ; allow a generous band.
 	if measured < analytic*0.5 || measured > analytic*1.5 {

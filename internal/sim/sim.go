@@ -130,8 +130,6 @@ const (
 	ChecksAuto CheckMode = iota
 	// ChecksOff disables it — for hot benchmark loops only.
 	ChecksOff
-	// ChecksOn enables it explicitly (same behavior as ChecksAuto).
-	ChecksOn
 )
 
 // EngineKind selects the time-advance mechanism; see engine.Kind.

@@ -15,6 +15,11 @@
 // quantities) rather than raw floats so that (a) a failing config prints
 // as a short reproducible recipe, (b) shrinking is a walk on a lattice,
 // and (c) the fuzzer mutates meaningful dimensions instead of NaN soup.
+//
+// The package is test infrastructure: no binary imports it. It lives
+// outside a _test.go file because its oracle and fuzz target and the
+// golden and parity tests in internal/sim share one sampler, one tolerance
+// contract and one shrinker.
 package simgen
 
 import (

@@ -262,7 +262,9 @@ func (s *Store) Put(id, key string, payload []byte) error {
 // won=true and must call release (idempotent) once the result is published
 // or the execution failed. Losers get won=false and a no-op release. An
 // existing claim older than StaleClaimTTL is treated as abandoned and
-// taken over.
+// taken over. Release is fenced: it removes the claim file only while the
+// file still holds this handle's nonce, so a holder whose claim was taken
+// over cannot free the new holder's claim for a third.
 func (s *Store) Claim(id string) (won bool, release func()) {
 	if validateID(id) != nil {
 		return false, func() {}
@@ -274,7 +276,13 @@ func (s *Store) Claim(id string) (won bool, release func()) {
 			f.WriteString(s.nonce) //nolint:errcheck
 			f.Close()              //nolint:errcheck
 			var once sync.Once
-			return true, func() { once.Do(func() { os.Remove(path) }) } //nolint:errcheck
+			return true, func() {
+				once.Do(func() {
+					if b, err := os.ReadFile(path); err == nil && string(b) == s.nonce {
+						os.Remove(path) //nolint:errcheck
+					}
+				})
+			}
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return false, func() {}

@@ -194,7 +194,8 @@ func TestClaimStaleTakeover(t *testing.T) {
 	a, _ := Open(dir)
 	defer a.Close()
 	id := testRecord(1).ID
-	if won, _ := a.Claim(id); !won {
+	won, releaseA := a.Claim(id)
+	if !won {
 		t.Fatal("first claim lost")
 	}
 	// Age the claim file past the TTL: the claimant "crashed".
@@ -206,11 +207,21 @@ func TestClaimStaleTakeover(t *testing.T) {
 	b, _ := Open(dir)
 	defer b.Close()
 	b.StaleClaimTTL = time.Minute
-	won, release := b.Claim(id)
+	won, releaseB := b.Claim(id)
 	if !won {
 		t.Fatal("stale claim was not taken over")
 	}
-	release()
+	// A was only slow: its late release must not free B's live claim.
+	releaseA()
+	c, _ := Open(dir)
+	defer c.Close()
+	if won, _ := c.Claim(id); won {
+		t.Fatal("third claim won while B still holds the claim")
+	}
+	releaseB()
+	if won, _ := c.Claim(id); !won {
+		t.Fatal("claim still held after B released it")
+	}
 }
 
 func TestIDValidation(t *testing.T) {

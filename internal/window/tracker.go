@@ -60,14 +60,6 @@ func (r *RateTracker) StoredFraction() float64 {
 // Lambda returns the estimated arrival rate λ in inputs per second.
 func (r *RateTracker) Lambda() float64 { return r.StoredFraction() / r.capturePeriod }
 
-// SetCapturePeriod updates the capture period (used by capture-rate sweeps).
-func (r *RateTracker) SetCapturePeriod(period float64) {
-	if period <= 0 {
-		panic(fmt.Sprintf("window: capture period must be positive, got %g", period))
-	}
-	r.capturePeriod = period
-}
-
 // Window exposes the underlying bit window for inspection in tests.
 func (r *RateTracker) Window() *BitWindow { return r.win }
 

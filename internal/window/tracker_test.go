@@ -22,16 +22,14 @@ func TestRateTrackerLambda(t *testing.T) {
 }
 
 func TestRateTrackerCapturePeriodScaling(t *testing.T) {
-	r := NewRateTracker(4, 2.0, 0)
-	r.Observe(true)
-	r.Observe(true)
-	// Every capture stored, one capture per 2 s → λ = 0.5/s.
-	if got := r.Lambda(); got != 0.5 {
-		t.Errorf("Lambda = %g, want 0.5", got)
-	}
-	r.SetCapturePeriod(4.0)
-	if got := r.Lambda(); got != 0.25 {
-		t.Errorf("Lambda after period change = %g, want 0.25", got)
+	// Every capture stored: λ is one input per capture period.
+	for _, c := range []struct{ period, want float64 }{{2, 0.5}, {4, 0.25}} {
+		r := NewRateTracker(4, c.period, 0)
+		r.Observe(true)
+		r.Observe(true)
+		if got := r.Lambda(); got != c.want {
+			t.Errorf("period %g s: Lambda = %g, want %g", c.period, got, c.want)
+		}
 	}
 }
 
@@ -41,7 +39,6 @@ func TestRateTrackerPanics(t *testing.T) {
 		func() { NewRateTracker(8, -1, 0.5) },
 		func() { NewRateTracker(8, 1, -0.1) },
 		func() { NewRateTracker(8, 1, 1.1) },
-		func() { NewRateTracker(8, 1, 0.5).SetCapturePeriod(0) },
 	}
 	for i, fn := range cases {
 		func() {

@@ -52,6 +52,8 @@ func (w *BitWindow) Size() int { return w.size }
 func (w *BitWindow) Len() int { return w.n }
 
 // Ones returns the number of set bits among the recorded observations.
+// Production code reads the counter only through Fraction; Ones is kept as
+// test infrastructure, the incremental counter that Recount checks.
 func (w *BitWindow) Ones() int { return w.ones }
 
 // Push records one observation, evicting the oldest if the window is full.
@@ -96,8 +98,9 @@ func (w *BitWindow) Reset() {
 	w.head, w.n, w.ones = 0, 0, 0
 }
 
-// Recount recomputes the 1-counter from the raw bits. It exists so tests can
-// verify the incremental counter never drifts; it is O(size/64).
+// Recount recomputes the 1-counter from the raw bits. It is test
+// infrastructure: tests and FuzzBitWindow compare it with Ones to verify the
+// incremental counter never drifts; it is O(size/64).
 func (w *BitWindow) Recount() int {
 	if w.n == w.size {
 		total := 0

@@ -49,7 +49,8 @@
 //		Events:     quetzal.GenerateEvents(quetzal.DefaultEventConfig(100, 60, 1)),
 //	})
 //
-// See examples/ for runnable programs and internal/experiments for the
+// See example_test.go for runnable examples (a custom application,
+// checkpoint policies, the MSP430 pipeline) and internal/experiments for the
 // harness that regenerates every table and figure of the paper.
 package quetzal
 
@@ -264,8 +265,6 @@ const (
 	ChecksAuto = sim.ChecksAuto
 	// ChecksOff disables invariant checking (benchmarks).
 	ChecksOff = sim.ChecksOff
-	// ChecksOn enables it explicitly.
-	ChecksOn = sim.ChecksOn
 )
 
 // Checkpoint policies for SimConfig.Checkpoint.
