@@ -161,6 +161,3 @@ func (b *Buffer) At(i int) (Input, error) {
 	}
 	return b.items[i], nil
 }
-
-// Reset empties the buffer.
-func (b *Buffer) Reset() { b.items = b.items[:0] }

@@ -137,15 +137,6 @@ func TestPeek(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	b := New(1)
-	b.Push(in(0, 0, true, 0))
-	b.Reset()
-	if b.Len() != 0 || !b.Push(in(1, 0, true, 0)) {
-		t.Errorf("after Reset: Len=%d, want an empty buffer that accepts a push", b.Len())
-	}
-}
-
 func TestHugeCapacityDoesNotPreallocate(t *testing.T) {
 	b := New(1 << 30) // the Ideal baseline's "infinite" buffer
 	if cap(b.items) > 64 {

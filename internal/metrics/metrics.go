@@ -159,14 +159,6 @@ func (r Results) CaptureMissFraction() float64 {
 	return float64(r.MissedInteresting) / float64(tot)
 }
 
-// Throughput returns completed inputs per second.
-func (r Results) Throughput() float64 {
-	if r.SimSeconds <= 0 {
-		return 0
-	}
-	return float64(r.SojournCount) / r.SimSeconds
-}
-
 // DegradationRate returns degraded jobs over completed jobs.
 func (r Results) DegradationRate() float64 {
 	if r.JobsCompleted == 0 {

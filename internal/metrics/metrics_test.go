@@ -132,17 +132,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestQueueingInstrumentationMetrics(t *testing.T) {
-	r := Results{SimSeconds: 100, SojournCount: 30}
-	if got := r.Throughput(); got != 0.3 {
-		t.Errorf("Throughput = %g, want 0.3", got)
-	}
-	var zero Results
-	if zero.Throughput() != 0 {
-		t.Error("zero-duration throughput must be 0")
-	}
-}
-
 // Every identity Check enforces, one mutation per row — including the
 // identities added for the correctness harness (capture subsets, aborted
 // bounds, degradation bounds, sojourn bound, reflective negativity).

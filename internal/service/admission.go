@@ -35,7 +35,6 @@ type admission struct {
 	ewmaS   float64   // EWMA of executed-run service time, seconds
 	ewmaGap float64   // EWMA of interarrival gap, seconds
 	lastArr time.Time // previous arrival, for the gap estimate
-	shed    int64     // total requests shed (mirrored to metrics by the caller)
 }
 
 // admissionStats is a snapshot for /metrics and logs.
@@ -73,11 +72,8 @@ func (a *admission) tryAdmit(n int, deadline time.Duration) (ok bool, retryAfter
 
 	predicted = a.residenceLocked(n)
 	switch {
-	case a.queued+n > a.maxQueue:
-		a.shed++
-		return false, a.retryHintLocked(predicted, deadline), predicted
-	case a.ewmaS > 0 && deadline > 0 && predicted > deadline:
-		a.shed++
+	case a.queued+n > a.maxQueue,
+		a.ewmaS > 0 && deadline > 0 && predicted > deadline:
 		return false, a.retryHintLocked(predicted, deadline), predicted
 	}
 	a.queued += n
@@ -140,11 +136,4 @@ func (a *admission) snapshot() admissionStats {
 	}
 	st.PredictedOcc = st.Lambda * st.ServiceEWMA
 	return st
-}
-
-// shedCount returns the total shed so far.
-func (a *admission) shedCount() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.shed
 }

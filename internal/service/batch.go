@@ -6,25 +6,16 @@ package service
 // the response is 202 with one id per key, executions proceed in the
 // background under the server's base context, and callers poll
 // GET /v1/runs/{id} (or just resubmit — the single-flight pool and the
-// shared store make duplicates free). This is the shape quetzalbench
-// drives: an open-loop generator cannot afford a connection per in-flight
-// run.
+// shared store make duplicates free). It suits open-loop clients, which
+// cannot afford a connection per in-flight run. The decode and admission
+// steps are the ones /v1/sweep uses (handlers.go).
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"time"
 
 	"quetzal/internal/experiments"
 )
-
-// batchRequest is the body of POST /v1/batch.
-type batchRequest struct {
-	Runs []experiments.KeySpec `json:"runs"`
-	// TimeoutMs shortens the per-run background budget; never extends it.
-	TimeoutMs int `json:"timeout_ms,omitempty"`
-}
 
 // batchEntry is the immediate status of one submitted key.
 type batchEntry struct {
@@ -53,63 +44,29 @@ const StatusAccepted = "accepted"
 // handleBatch is POST /v1/batch: validate every spec, admit the distinct
 // unknown keys as one unit, answer 202, execute in the background.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		decodeBodyError(w, err)
+	keys, timeout, ok := s.decodeRuns(w, r, "batch", maxBatchKeys)
+	if !ok {
 		return
 	}
-	if len(req.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, "bad request: runs is empty", 0)
+	// One admission decision for the whole batch, with the same accounting
+	// as /v1/sweep.
+	fresh, ok := s.admitRuns(w, keys, timeout)
+	if !ok {
 		return
-	}
-	if len(req.Runs) > s.cfg.MaxBatchKeys {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bad request: %d runs exceeds the per-batch limit %d", len(req.Runs), s.cfg.MaxBatchKeys), 0)
-		return
-	}
-	keys := make([]experiments.RunKey, len(req.Runs))
-	for i, sp := range req.Runs {
-		k, err := sp.RunKey()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: runs[%d]: %v", i, err), 0)
-			return
-		}
-		keys[i] = k
-	}
-	timeout := s.timeoutFor(req.TimeoutMs)
-
-	// One admission decision for the whole batch, charging only the distinct
-	// keys no one is already computing — same accounting as /v1/sweep.
-	seen := make(map[experiments.RunKey]bool, len(keys))
-	var fresh []experiments.RunKey
-	for _, k := range keys {
-		if !seen[k] && !s.pool.Known(k) {
-			fresh = append(fresh, k)
-		}
-		seen[k] = true
-	}
-	if len(fresh) > 0 {
-		ok, retry, predicted := s.adm.tryAdmit(len(fresh), timeout)
-		if !ok {
-			s.mShed.Inc()
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("saturated: %d new runs, predicted queue residence %v exceeds deadline %v",
-					len(fresh), predicted.Round(time.Millisecond), timeout), retry)
-			return
-		}
 	}
 
 	// Build the reply before launching anything, so "accepted" vs
-	// "coalesced" reflects the decision this request actually made.
+	// "coalesced" reflects the decision this request actually made: the
+	// first occurrence of each fresh key is the one this batch started, and
+	// every other entry coalesced.
 	out := batchResponse{Count: len(keys), Entries: make([]batchEntry, len(keys))}
-	freshSet := make(map[experiments.RunKey]bool, len(fresh))
+	unclaimed := make(map[experiments.RunKey]bool, len(fresh))
 	for _, k := range fresh {
-		freshSet[k] = true
+		unclaimed[k] = true
 	}
-	claimed := make(map[experiments.RunKey]bool, len(fresh))
 	for i, k := range keys {
 		e := batchEntry{ID: runID(k), Key: k.String(), Status: StatusAccepted}
-		if !freshSet[k] || claimed[k] {
+		if !unclaimed[k] {
 			e.Coalesced = true
 			out.Coalesced++
 			if rec, ok := s.lookup(e.ID); ok {
@@ -118,7 +75,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				e.Status = StatusRunning
 			}
 		} else {
-			claimed[k] = true
+			delete(unclaimed, k)
 			out.Accepted++
 			s.remember(e.ID, record{Key: k, Status: StatusRunning})
 		}

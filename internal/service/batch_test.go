@@ -62,37 +62,6 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-func TestBatchValidation(t *testing.T) {
-	ran := 0
-	_, ts := newTestServer(t, Config{
-		MaxQueue: 100, MaxBatchKeys: 2,
-		Run: func(_ context.Context, key experiments.RunKey) (metrics.Results, error) {
-			ran++
-			return stubResults(key), nil
-		},
-	})
-	for _, tc := range []struct{ name, body, wantErr string }{
-		{"empty runs", `{"runs":[]}`, "runs is empty"},
-		{"missing runs", `{}`, "runs is empty"},
-		{"too many", `{"runs":[{"system":"qz","env":"crowded"},{"system":"na","env":"crowded"},{"system":"cn","env":"crowded"}]}`, "per-batch limit"},
-		{"bad entry indexed", `{"runs":[{"system":"qz","env":"crowded"},{"system":"nope","env":"crowded"}]}`, "runs[1]"},
-		{"unknown field", `{"runs":[{"system":"qz","env":"crowded"}],"cheat":1}`, "cheat"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts, "/v1/batch", tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400; body = %s", resp.StatusCode, body)
-			}
-			if !strings.Contains(body, tc.wantErr) {
-				t.Fatalf("body %q missing %q", body, tc.wantErr)
-			}
-		})
-	}
-	if ran != 0 {
-		t.Fatalf("invalid batches spawned %d runs", ran)
-	}
-}
-
 func TestBatchShedsAsOneUnit(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)

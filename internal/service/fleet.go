@@ -6,6 +6,13 @@ package service
 // execution budget, a single-concurrency gate instead of the per-run
 // admission queue, and progress gauges (devices done/total, peak heap)
 // published through /metrics while the sweep runs.
+//
+// POST /v1/fleet and POST /v1/fleet/stream share one core: admitFleet
+// decodes the plan, serves a stored result or takes the single-fleet gate,
+// and runFleet executes, publishes and frees the gate. A sweep runs under
+// its request's context, so on either route a client that disconnects
+// cancels it: nothing is published, and the next identical request runs
+// fresh.
 
 import (
 	"context"
@@ -55,22 +62,23 @@ type fleetStored struct {
 	Stats     fleet.RunStats   `json:"stats"`
 }
 
-// fleetLookup consults the shared store for a finished identical plan.
-func (s *Server) fleetLookup(plan experiments.FleetPlan) (*fleet.Aggregate, fleet.RunStats, bool) {
+// fleetLookup consults the shared store for a finished identical plan; nil
+// on a miss.
+func (s *Server) fleetLookup(plan experiments.FleetPlan) *fleetStored {
 	if s.cfg.Store == nil {
-		return nil, fleet.RunStats{}, false
+		return nil
 	}
 	rec, ok := s.cfg.Store.Get(fleetID(plan))
 	if !ok {
-		return nil, fleet.RunStats{}, false
+		return nil
 	}
 	var st fleetStored
 	if err := json.Unmarshal(rec.Payload, &st); err != nil || st.Aggregate == nil {
 		s.cfg.Logf("quetzald: fleet store record %s undecodable: %v", rec.ID, err)
-		return nil, fleet.RunStats{}, false
+		return nil
 	}
 	s.mStoreHits.Inc()
-	return st.Aggregate, st.Stats, true
+	return &st
 }
 
 // fleetPublish durably records a finished fleet sweep; failures are logged,
@@ -91,25 +99,35 @@ func (s *Server) fleetPublish(plan experiments.FleetPlan, agg *fleet.Aggregate, 
 	s.mStorePuts.Inc()
 }
 
-// handleFleet is POST /v1/fleet: decode, validate through FleetSpec.Plan,
-// take the single-fleet slot, run.
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
+// fleetOutcome is what one executed fleet sweep produced.
+type fleetOutcome struct {
+	agg   *fleet.Aggregate
+	stats fleet.RunStats
+	err   error
+}
+
+// admitFleet is the front half both fleet routes share: decode, validate
+// through FleetSpec.Plan, look the plan up in the shared store, and take
+// the single-fleet gate. A stored plan comes back as hit, with the gate
+// left alone; otherwise the caller holds the gate and must hand it to
+// runFleet. On failure it has written the error reply and returns
+// ok=false.
+func (s *Server) admitFleet(w http.ResponseWriter, r *http.Request) (plan experiments.FleetPlan, timeout time.Duration, hit *fleetStored, ok bool) {
 	var req fleetRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		decodeBodyError(w, err)
-		return
+		return plan, 0, nil, false
 	}
 	plan, err := req.FleetSpec.Plan()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: "+err.Error(), 0)
-		return
+		return plan, 0, nil, false
 	}
 
 	// A plan some replica already ran is served from the shared store before
 	// the single-fleet gate: cache hits are cheap and can overlap a live sweep.
-	if agg, stats, ok := s.fleetLookup(plan); ok {
-		writeJSON(w, http.StatusOK, fleetResponse{Plan: plan.String(), Aggregate: agg, Stats: stats, Cached: true})
-		return
+	if hit := s.fleetLookup(plan); hit != nil {
+		return plan, 0, hit, true
 	}
 
 	// One fleet at a time: a second sweep would not queue behind the first in
@@ -117,25 +135,30 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if !s.fleetBusy.CompareAndSwap(false, true) {
 		s.mShed.Inc()
 		writeError(w, http.StatusTooManyRequests, "a fleet sweep is already running", s.cfg.FleetTimeout/4)
-		return
+		return plan, 0, nil, false
 	}
-	defer s.fleetBusy.Store(false)
-
-	timeout := s.cfg.FleetTimeout
-	if req.TimeoutMs > 0 {
-		if t := time.Duration(req.TimeoutMs) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
+	// The gate holder owns the progress gauges: reset them before a stream
+	// can snapshot them, so progress never appears to run backwards.
 	s.fleetTotal.Store(int64(plan.Devices))
 	s.fleetDone.Store(0)
 	s.fleetPeakHeap.Store(0)
+
+	return plan, shorten(s.cfg.FleetTimeout, req.TimeoutMs), nil, true
+}
+
+// runFleet executes an admitted plan under ctx shortened to timeout,
+// feeding the progress gauges as it goes. A finished sweep is counted and
+// published to the store; either way the single-fleet gate is free when
+// runFleet returns.
+func (s *Server) runFleet(ctx context.Context, plan experiments.FleetPlan, timeout time.Duration) fleetOutcome {
+	defer s.fleetBusy.Store(false)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+
 	s.cfg.Logf("quetzald: fleet start: %s", plan)
 
-	agg, stats, err := fleet.Run(ctx, plan, fleet.Options{
+	var o fleetOutcome
+	o.agg, o.stats, o.err = fleet.Run(ctx, plan, fleet.Options{
 		Workers: s.cfg.Workers,
 		OnProgress: func(done, _ int) {
 			s.fleetDone.Store(int64(done))
@@ -149,15 +172,32 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 			}
 		},
 	})
-	if err != nil {
+	if o.err != nil {
 		s.mRunErrors.Inc()
-		s.cfg.Logf("quetzald: fleet failed: %v", err)
-		writeError(w, runErrorStatus(err), fmt.Sprintf("fleet: %v", err), 0)
-		return
+		s.cfg.Logf("quetzald: fleet failed: %v", o.err)
+		return o
 	}
 	s.mFleetsExecuted.Inc()
-	s.fleetPublish(plan, agg, stats)
+	s.fleetPublish(plan, o.agg, o.stats)
 	s.cfg.Logf("quetzald: fleet done: %d devices in %.1fs (%.0f devices/s, peak heap %.1f MiB)",
-		stats.Devices, stats.ElapsedSec, stats.DevicesPerSec, float64(stats.PeakHeapBytes)/(1<<20))
-	writeJSON(w, http.StatusOK, fleetResponse{Plan: plan.String(), Aggregate: agg, Stats: stats})
+		o.stats.Devices, o.stats.ElapsedSec, o.stats.DevicesPerSec, float64(o.stats.PeakHeapBytes)/(1<<20))
+	return o
+}
+
+// handleFleet is POST /v1/fleet: admit, run, answer with the aggregate.
+func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
+	plan, timeout, hit, ok := s.admitFleet(w, r)
+	if !ok {
+		return
+	}
+	if hit != nil {
+		writeJSON(w, http.StatusOK, fleetResponse{Plan: plan.String(), Aggregate: hit.Aggregate, Stats: hit.Stats, Cached: true})
+		return
+	}
+	o := s.runFleet(r.Context(), plan, timeout)
+	if o.err != nil {
+		writeError(w, runErrorStatus(o.err), fmt.Sprintf("fleet: %v", o.err), 0)
+		return
+	}
+	writeJSON(w, http.StatusOK, fleetResponse{Plan: plan.String(), Aggregate: o.agg, Stats: o.stats})
 }

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"quetzal/internal/experiments"
@@ -51,11 +50,21 @@ type runResponse struct {
 	Error     string           `json:"error,omitempty"`
 }
 
-// sweepRequest is the body of POST /v1/sweep.
+// sweepRequest is the body of every multi-run route: POST /v1/sweep,
+// /v1/sweep/stream and /v1/batch.
 type sweepRequest struct {
-	Runs      []experiments.KeySpec `json:"runs"`
-	TimeoutMs int                   `json:"timeout_ms,omitempty"`
+	Runs []experiments.KeySpec `json:"runs"`
+	// TimeoutMs shortens the per-run budget; it can never extend it.
+	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
+
+// Per-request run limits of the multi-run routes, each clamped to the
+// admission queue by decodeRuns. Batch runs execute in the background, so
+// the batch bound is independent of the sweep one.
+const (
+	maxSweepKeys = 64
+	maxBatchKeys = 256
+)
 
 // sweepResponse is the body of a POST /v1/sweep reply; entries are in
 // request order.
@@ -191,16 +200,21 @@ func decodeBodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad request: "+err.Error(), 0)
 }
 
-// timeoutFor resolves the effective deadline: the server budget, shortened
-// (never extended) by the request's timeout_ms.
+// timeoutFor resolves a run's effective deadline: the server's run budget,
+// shortened (never extended) by the request's timeout_ms.
 func (s *Server) timeoutFor(timeoutMs int) time.Duration {
-	t := s.cfg.RunTimeout
+	return shorten(s.cfg.RunTimeout, timeoutMs)
+}
+
+// shorten caps a server budget at a request's positive timeout_ms; it
+// never extends the budget.
+func shorten(budget time.Duration, timeoutMs int) time.Duration {
 	if timeoutMs > 0 {
-		if req := time.Duration(timeoutMs) * time.Millisecond; req < t {
-			t = req
+		if req := time.Duration(timeoutMs) * time.Millisecond; req < budget {
+			return req
 		}
 	}
-	return t
+	return budget
 }
 
 // runErrorStatus maps an execution error to a response code.
@@ -288,69 +302,110 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleSweep is POST /v1/sweep: decode and validate every spec up front
-// (one bad entry fails the whole request in milliseconds), admit the new
-// executions as a unit, then run them concurrently on the pool.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+// decodeRuns is the decode step of the multi-run routes: decode the body,
+// bound its runs by the route's limit ("per-<route> limit" in the error),
+// resolve every spec up front (one bad entry fails the whole request in
+// milliseconds) and work out the per-run timeout. On failure it has written
+// the 400 or 413 and returns ok=false.
+func (s *Server) decodeRuns(w http.ResponseWriter, r *http.Request, route string, limit int) (keys []experiments.RunKey, timeout time.Duration, ok bool) {
 	var req sweepRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		decodeBodyError(w, err)
-		return
+		return nil, 0, false
 	}
 	if len(req.Runs) == 0 {
 		writeError(w, http.StatusBadRequest, "bad request: runs is empty", 0)
-		return
+		return nil, 0, false
 	}
-	if len(req.Runs) > s.cfg.MaxSweepKeys {
+	// A request's new executions are admitted as a unit, so one larger than
+	// the admission queue could never be admitted at all.
+	limit = min(limit, s.cfg.MaxQueue)
+	if len(req.Runs) > limit {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bad request: %d runs exceeds the per-sweep limit %d", len(req.Runs), s.cfg.MaxSweepKeys), 0)
-		return
+			fmt.Sprintf("bad request: %d runs exceeds the per-%s limit %d", len(req.Runs), route, limit), 0)
+		return nil, 0, false
 	}
-	keys := make([]experiments.RunKey, len(req.Runs))
+	keys = make([]experiments.RunKey, len(req.Runs))
 	for i, sp := range req.Runs {
 		k, err := sp.RunKey()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: runs[%d]: %v", i, err), 0)
-			return
+			return nil, 0, false
 		}
 		keys[i] = k
 	}
-	timeout := s.timeoutFor(req.TimeoutMs)
+	return keys, s.timeoutFor(req.TimeoutMs), true
+}
 
-	// Admission charges only the distinct unknown keys: duplicates within
-	// the sweep single-flight onto one execution, and known keys join free.
+// admitRuns is the admission step of the multi-run routes. It charges only
+// the distinct keys the pool does not yet know: duplicates within the
+// request single-flight onto one execution, and known keys join free. It
+// returns those fresh keys, whose slots the caller must release. On shed it
+// has written the 429 with Retry-After and returns ok=false.
+func (s *Server) admitRuns(w http.ResponseWriter, keys []experiments.RunKey, timeout time.Duration) (fresh []experiments.RunKey, ok bool) {
 	seen := make(map[experiments.RunKey]bool, len(keys))
-	newExecs := 0
 	for _, k := range keys {
 		if !seen[k] && !s.pool.Known(k) {
-			newExecs++
+			fresh = append(fresh, k)
 		}
 		seen[k] = true
 	}
-	if newExecs > 0 {
-		ok, retry, predicted := s.adm.tryAdmit(newExecs, timeout)
-		if !ok {
-			s.mShed.Inc()
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("saturated: %d new runs, predicted queue residence %v exceeds deadline %v",
-					newExecs, predicted.Round(time.Millisecond), timeout), retry)
-			return
-		}
-		defer s.adm.release(newExecs)
+	if len(fresh) == 0 {
+		return nil, true
 	}
+	ok, retry, predicted := s.adm.tryAdmit(len(fresh), timeout)
+	if !ok {
+		s.mShed.Inc()
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("saturated: %d new runs, predicted queue residence %v exceeds deadline %v",
+				len(fresh), predicted.Round(time.Millisecond), timeout), retry)
+		return nil, false
+	}
+	return fresh, true
+}
+
+// sweepResult is one finished run of a sweep and its index in the request.
+type sweepResult struct {
+	i     int
+	entry runResponse
+}
+
+// fanOut executes every key concurrently under ctx and delivers each entry
+// as it finishes. The channel holds every result, so producers never block
+// and a mid-stream disconnect cannot strand them; a caller must still
+// receive all len(keys) results before it returns, so no execution outlives
+// its handler.
+func (s *Server) fanOut(ctx context.Context, keys []experiments.RunKey, timeout time.Duration) <-chan sweepResult {
+	results := make(chan sweepResult, len(keys))
+	for i, k := range keys {
+		go func() {
+			entry, _ := s.execute(ctx, k, timeout)
+			results <- sweepResult{i, entry}
+		}()
+	}
+	return results
+}
+
+// handleSweep is POST /v1/sweep: decode, admit the new executions as a unit,
+// run them concurrently on the pool and answer with every entry in request
+// order.
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	keys, timeout, ok := s.decodeRuns(w, r, "sweep", maxSweepKeys)
+	if !ok {
+		return
+	}
+	fresh, ok := s.admitRuns(w, keys, timeout)
+	if !ok {
+		return
+	}
+	defer s.adm.release(len(fresh))
 
 	out := sweepResponse{Count: len(keys), Entries: make([]runResponse, len(keys))}
-	var wg sync.WaitGroup
-	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k experiments.RunKey) {
-			defer wg.Done()
-			out.Entries[i], _ = s.execute(r.Context(), k, timeout)
-		}(i, k)
-	}
-	wg.Wait()
-	for _, e := range out.Entries {
-		if e.Status == StatusFailed {
+	results := s.fanOut(r.Context(), keys, timeout)
+	for range keys {
+		res := <-results
+		out.Entries[res.i] = res.entry
+		if res.entry.Status == StatusFailed {
 			out.Failed++
 		}
 	}

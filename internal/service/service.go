@@ -49,12 +49,6 @@ type Config struct {
 	// MaxQueue bounds the admission queue (requests admitted but not yet
 	// finished); beyond it requests shed with 429. 0 → 4 × workers.
 	MaxQueue int
-	// MaxSweepKeys bounds the runs in one /v1/sweep request. 0 → 64.
-	MaxSweepKeys int
-	// MaxBatchKeys bounds the runs in one /v1/batch request. Batch runs
-	// execute in the background, so the bound is independent of the sweep
-	// one. 0 → 256.
-	MaxBatchKeys int
 	// MaxBodyBytes bounds request bodies. 0 → 1 MiB.
 	MaxBodyBytes int64
 	// MaxRecords bounds the run-record index served by /v1/runs/{id};
@@ -96,21 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.Workers
-	}
-	if c.MaxSweepKeys <= 0 {
-		c.MaxSweepKeys = 64
-	}
-	// A sweep's new executions are admitted as a unit, so a sweep larger
-	// than the admission queue could never be admitted at all.
-	if c.MaxSweepKeys > c.MaxQueue {
-		c.MaxSweepKeys = c.MaxQueue
-	}
-	if c.MaxBatchKeys <= 0 {
-		c.MaxBatchKeys = 256
-	}
-	// Same argument for batches: the whole batch is one admission decision.
-	if c.MaxBatchKeys > c.MaxQueue {
-		c.MaxBatchKeys = c.MaxQueue
 	}
 	if c.StoreClaimWait <= 0 {
 		c.StoreClaimWait = 5 * time.Second
@@ -304,22 +283,19 @@ func (s *Server) lookup(id string) (record, bool) {
 	return *r, true
 }
 
-// BeginDrain flips the server into draining mode: /healthz turns 503 and
-// new API requests are refused, while in-flight requests keep running and
-// /metrics stays up for the final scrape.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
+// Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Drain enters draining mode and waits for in-flight requests — and any
-// background batch executions — to finish, or for ctx to expire. On a
-// clean drain the ledger and metrics agree: the pool's OnEvent stream is
-// serialized, so the last event lands before the last handler returns.
-// Results published to a configured store survive the drain by
-// construction: Put fsyncs before the execution is reported done.
+// Drain enters draining mode — /healthz turns 503 and new API requests are
+// refused, while /metrics stays up for the final scrape — and waits for
+// in-flight requests and any background batch executions to finish, or
+// for ctx to expire. On a clean drain the ledger and metrics agree: the
+// pool's OnEvent stream is serialized, so the last event lands before the
+// last handler returns. Results published to a configured store survive
+// the drain by construction: Put fsyncs before the execution is reported
+// done.
 func (s *Server) Drain(ctx context.Context) error {
-	s.BeginDrain()
+	s.draining.Store(true)
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,28 +376,54 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
-func TestSweepValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxQueue: 100, MaxSweepKeys: 2})
-	cases := []struct {
-		name    string
-		body    string
-		wantErr string
-	}{
+// TestMultiRunValidation pins the 400 surface shared by the three
+// multi-run routes: every case runs against every route, answers before
+// any stream bytes, and spawns no run. MaxQueue bounds each route's key
+// limit, so MaxQueue: 2 makes three runs too many.
+func TestMultiRunValidation(t *testing.T) {
+	var ran atomic.Int64
+	_, ts := newTestServer(t, Config{
+		MaxQueue: 2,
+		Run: func(_ context.Context, key experiments.RunKey) (metrics.Results, error) {
+			ran.Add(1)
+			return stubResults(key), nil
+		},
+	})
+	routes := []struct{ name, path, limit string }{
+		{"sweep", "/v1/sweep", "per-sweep limit 2"},
+		{"sweep_stream", "/v1/sweep/stream", "per-sweep limit 2"},
+		{"batch", "/v1/batch", "per-batch limit 2"},
+	}
+	// An empty wantErr stands for the route's own limit error.
+	cases := []struct{ name, body, wantErr string }{
 		{"empty runs", `{"runs":[]}`, "runs is empty"},
 		{"missing runs", `{}`, "runs is empty"},
-		{"too many", `{"runs":[{"system":"qz","env":"crowded"},{"system":"na","env":"crowded"},{"system":"cn","env":"crowded"}]}`, "per-sweep limit"},
+		{"too many", `{"runs":[{"system":"qz","env":"crowded"},{"system":"na","env":"crowded"},{"system":"cn","env":"crowded"}]}`, ""},
+		{"bad entry", `{"runs":[{"system":"nope","env":"crowded"}]}`, "runs[0]"},
 		{"bad entry indexed", `{"runs":[{"system":"qz","env":"crowded"},{"system":"nope","env":"crowded"}]}`, "runs[1]"},
+		{"unknown field", `{"runs":[{"system":"qz","env":"crowded"}],"cheat":1}`, "cheat"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts, "/v1/sweep", tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400; body = %s", resp.StatusCode, body)
-			}
-			if !strings.Contains(body, tc.wantErr) {
-				t.Fatalf("body %q missing %q", body, tc.wantErr)
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			for _, tc := range cases {
+				want := tc.wantErr
+				if want == "" {
+					want = rt.limit
+				}
+				t.Run(tc.name, func(t *testing.T) {
+					resp, body := postJSON(t, ts, rt.path, tc.body)
+					if resp.StatusCode != http.StatusBadRequest {
+						t.Fatalf("status = %d, want 400 before any stream bytes; body = %s", resp.StatusCode, body)
+					}
+					if !strings.Contains(body, want) {
+						t.Fatalf("body %q missing %q", body, want)
+					}
+				})
 			}
 		})
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("invalid requests spawned %d runs", n)
 	}
 }
 

@@ -13,21 +13,17 @@ package service
 //   - exactly one terminal event ("done" or "error") ends the stream, and
 //     nothing follows it.
 //
-// A client that disconnects mid-stream cancels the work it was waiting on
-// (sweeps) or detaches from it (fleets keep running — a fleet sweep is too
-// expensive to throw away because one observer left); either way no
-// goroutine outlives the cleanup, which stream_test.go pins with
-// goroutine-count leak checks.
+// A client that disconnects mid-stream cancels the work it was waiting on,
+// on both routes: the sweep's runs or the fleet sweep run under the
+// request's context. A cancelled fleet publishes nothing, so the next
+// identical request runs fresh. No goroutine outlives the cleanup, which
+// stream_test.go pins with goroutine-count leak checks.
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"quetzal/internal/experiments"
 	"quetzal/internal/fleet"
 )
 
@@ -58,242 +54,126 @@ type streamEvent struct {
 // the metrics-capturing statusWriter, so streams can flush per event.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// streamWriter emits JSONL events with an immediate flush per line.
+// streamWriter emits JSONL events with an immediate flush per line, each
+// stamped with the time since the stream opened.
 type streamWriter struct {
-	enc  *json.Encoder
-	rc   *http.ResponseController
-	fail bool // a write failed: the client is gone, stop emitting
+	enc   *json.Encoder
+	rc    *http.ResponseController
+	now   func() time.Time
+	start time.Time
+	fail  bool // a write failed: the client is gone, stop emitting
 }
 
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
+// newStreamWriter commits the 200 and the stream headers: from here on,
+// failures become error events, not status codes.
+func (s *Server) newStreamWriter(w http.ResponseWriter) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	sw := &streamWriter{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
-	return sw
+	return &streamWriter{
+		enc: json.NewEncoder(w), rc: http.NewResponseController(w),
+		now: s.cfg.Now, start: s.cfg.Now(),
+	}
 }
 
-// event writes one line and reports whether the stream is still alive.
-func (sw *streamWriter) event(ev streamEvent) bool {
+// event stamps and writes one line; after a failed write it does nothing.
+func (sw *streamWriter) event(ev streamEvent) {
 	if sw.fail {
-		return false
+		return
 	}
+	ev.ElapsedMs = float64(sw.now().Sub(sw.start)) / float64(time.Millisecond)
 	if err := sw.enc.Encode(ev); err != nil {
 		sw.fail = true
-		return false
+		return
 	}
 	if err := sw.rc.Flush(); err != nil {
 		sw.fail = true
-		return false
 	}
-	return true
 }
 
-// handleSweepStream is POST /v1/sweep/stream: the same validation and
-// admission as /v1/sweep, but results stream back one line per finished
+// handleSweepStream is POST /v1/sweep/stream: the same decode, admission
+// and fan-out as /v1/sweep, but results stream back one line per finished
 // run instead of one document at the end.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		decodeBodyError(w, err)
+	keys, timeout, ok := s.decodeRuns(w, r, "sweep", maxSweepKeys)
+	if !ok {
 		return
 	}
-	if len(req.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, "bad request: runs is empty", 0)
+	fresh, ok := s.admitRuns(w, keys, timeout)
+	if !ok {
 		return
 	}
-	if len(req.Runs) > s.cfg.MaxSweepKeys {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bad request: %d runs exceeds the per-sweep limit %d", len(req.Runs), s.cfg.MaxSweepKeys), 0)
-		return
-	}
-	keys := make([]experiments.RunKey, len(req.Runs))
-	for i, sp := range req.Runs {
-		k, err := sp.RunKey()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: runs[%d]: %v", i, err), 0)
-			return
-		}
-		keys[i] = k
-	}
-	timeout := s.timeoutFor(req.TimeoutMs)
+	defer s.adm.release(len(fresh))
 
-	seen := make(map[experiments.RunKey]bool, len(keys))
-	newExecs := 0
-	for _, k := range keys {
-		if !seen[k] && !s.pool.Known(k) {
-			newExecs++
-		}
-		seen[k] = true
-	}
-	if newExecs > 0 {
-		ok, retry, predicted := s.adm.tryAdmit(newExecs, timeout)
-		if !ok {
-			s.mShed.Inc()
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("saturated: %d new runs, predicted queue residence %v exceeds deadline %v",
-					newExecs, predicted.Round(time.Millisecond), timeout), retry)
-			return
-		}
-		defer s.adm.release(newExecs)
-	}
+	sw := s.newStreamWriter(w)
+	sw.event(streamEvent{Event: "start", Total: len(keys)})
 
-	// Headers are committed from here on: failures become error events, not
-	// status codes.
-	sw := newStreamWriter(w)
-	start := s.cfg.Now()
-	elapsed := func() float64 {
-		return float64(s.cfg.Now().Sub(start)) / float64(time.Millisecond)
-	}
-	sw.event(streamEvent{Event: "start", Total: len(keys), ElapsedMs: elapsed()})
-
-	// Each run sends its finished entry on a channel sized for every key:
-	// producers never block, so a mid-stream disconnect cannot strand them.
-	results := make(chan runResponse, len(keys))
-	var wg sync.WaitGroup
-	for _, k := range keys {
-		wg.Add(1)
-		go func(k experiments.RunKey) {
-			defer wg.Done()
-			entry, _ := s.execute(r.Context(), k, timeout)
-			results <- entry
-		}(k)
-	}
-	// A disconnect cancels r.Context(), which cancels the executions above;
-	// wait for them so the handler never returns with workers still queued.
-	defer wg.Wait()
-
+	results := s.fanOut(r.Context(), keys, timeout)
 	tick := time.NewTicker(s.cfg.StreamHeartbeat)
 	defer tick.Stop()
 	done, failed := 0, 0
 	for done < len(keys) {
 		select {
-		case entry := <-results:
+		case res := <-results:
 			done++
-			if entry.Status == StatusFailed {
+			if res.entry.Status == StatusFailed {
 				failed++
 			}
-			e := entry
-			sw.event(streamEvent{Event: "run", Entry: &e, Done: done, Total: len(keys), ElapsedMs: elapsed()})
+			sw.event(streamEvent{Event: "run", Entry: &res.entry, Done: done, Total: len(keys)})
 		case <-tick.C:
-			sw.event(streamEvent{Event: "heartbeat", Done: done, Total: len(keys), ElapsedMs: elapsed()})
+			sw.event(streamEvent{Event: "heartbeat", Done: done, Total: len(keys)})
 		case <-r.Context().Done():
-			// The client is gone; the canceled executions drain via wg.Wait.
+			// The client is gone, which cancelled the executions; wait for
+			// them so the handler never returns with workers still queued.
+			for ; done < len(keys); done++ {
+				<-results
+			}
 			return
 		}
 	}
-	sw.event(streamEvent{Event: "done", Done: done, Total: len(keys), Failed: failed, ElapsedMs: elapsed()})
+	sw.event(streamEvent{Event: "done", Done: done, Total: len(keys), Failed: failed})
 }
 
 // handleFleetStream is POST /v1/fleet/stream: one fleet sweep with progress
-// snapshots at the heartbeat cadence and the aggregate in the terminal
-// event. A cached plan (same resolved plan already in the shared store)
-// answers with an immediate terminal event.
+// snapshots at the heartbeat cadence and the aggregate or the error in the
+// terminal event. A cached plan (same resolved plan already in the shared
+// store) answers with an immediate terminal event.
 func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
-	var req fleetRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		decodeBodyError(w, err)
+	plan, timeout, hit, ok := s.admitFleet(w, r)
+	if !ok {
 		return
 	}
-	plan, err := req.FleetSpec.Plan()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: "+err.Error(), 0)
-		return
-	}
-	start := s.cfg.Now()
-	elapsed := func() float64 {
-		return float64(s.cfg.Now().Sub(start)) / float64(time.Millisecond)
-	}
-
-	if agg, stats, ok := s.fleetLookup(plan); ok {
-		sw := newStreamWriter(w)
-		sw.event(streamEvent{Event: "start", DevicesTotal: int64(plan.Devices), ElapsedMs: elapsed()})
-		sw.event(streamEvent{Event: "done", Aggregate: agg, Stats: &stats, Cached: true,
-			DevicesDone: int64(plan.Devices), DevicesTotal: int64(plan.Devices), ElapsedMs: elapsed()})
+	devices := int64(plan.Devices)
+	sw := s.newStreamWriter(w)
+	sw.event(streamEvent{Event: "start", DevicesTotal: devices})
+	if hit != nil {
+		sw.event(streamEvent{Event: "done", Aggregate: hit.Aggregate, Stats: &hit.Stats, Cached: true,
+			DevicesDone: devices, DevicesTotal: devices})
 		return
 	}
 
-	if !s.fleetBusy.CompareAndSwap(false, true) {
-		s.mShed.Inc()
-		writeError(w, http.StatusTooManyRequests, "a fleet sweep is already running", s.cfg.FleetTimeout/4)
-		return
-	}
-	defer s.fleetBusy.Store(false)
-
-	timeout := s.cfg.FleetTimeout
-	if req.TimeoutMs > 0 {
-		if t := time.Duration(req.TimeoutMs) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	s.fleetTotal.Store(int64(plan.Devices))
-	s.fleetDone.Store(0)
-	s.fleetPeakHeap.Store(0)
-	s.cfg.Logf("quetzald: fleet stream start: %s", plan)
-
-	sw := newStreamWriter(w)
-	sw.event(streamEvent{Event: "start", DevicesTotal: int64(plan.Devices), ElapsedMs: elapsed()})
-
-	type fleetOutcome struct {
-		agg   *fleet.Aggregate
-		stats fleet.RunStats
-		err   error
-	}
 	outcome := make(chan fleetOutcome, 1)
-	go func() {
-		agg, stats, err := fleet.Run(ctx, plan, fleet.Options{
-			Workers: s.cfg.Workers,
-			OnProgress: func(done, _ int) {
-				s.fleetDone.Store(int64(done))
-			},
-			OnHeapSample: func(heap uint64) {
-				for {
-					prev := s.fleetPeakHeap.Load()
-					if heap <= prev || s.fleetPeakHeap.CompareAndSwap(prev, heap) {
-						return
-					}
-				}
-			},
-		})
-		outcome <- fleetOutcome{agg, stats, err}
-	}()
-
+	go func() { outcome <- s.runFleet(r.Context(), plan, timeout) }()
 	tick := time.NewTicker(s.cfg.StreamHeartbeat)
 	defer tick.Stop()
 	for {
 		select {
 		case o := <-outcome:
+			// A cancelled sweep ends here too, so a stream that outlives
+			// its budget still gets its terminal event.
 			if o.err != nil {
-				s.mRunErrors.Inc()
-				s.cfg.Logf("quetzald: fleet stream failed: %v", o.err)
-				sw.event(streamEvent{Event: "error", Error: o.err.Error(), ElapsedMs: elapsed()})
+				sw.event(streamEvent{Event: "error", Error: o.err.Error()})
 				return
 			}
-			s.mFleetsExecuted.Inc()
-			s.fleetPublish(plan, o.agg, o.stats)
 			sw.event(streamEvent{Event: "done", Aggregate: o.agg, Stats: &o.stats,
-				DevicesDone: s.fleetDone.Load(), DevicesTotal: int64(plan.Devices), ElapsedMs: elapsed()})
+				DevicesDone: s.fleetDone.Load(), DevicesTotal: devices})
 			return
 		case <-tick.C:
 			sw.event(streamEvent{Event: "snapshot",
 				DevicesDone:   s.fleetDone.Load(),
-				DevicesTotal:  int64(plan.Devices),
-				PeakHeapBytes: s.fleetPeakHeap.Load(),
-				ElapsedMs:     elapsed()})
-		case <-ctx.Done():
-			// Client gone or budget spent: wait for the run to notice the
-			// cancellation so the handler leaves nothing behind.
-			o := <-outcome
-			if o.err == nil {
-				// The run beat the cancellation: keep the result anyway.
-				s.mFleetsExecuted.Inc()
-				s.fleetPublish(plan, o.agg, o.stats)
-			}
-			return
+				DevicesTotal:  devices,
+				PeakHeapBytes: s.fleetPeakHeap.Load()})
 		}
 	}
 }

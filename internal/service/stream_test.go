@@ -172,25 +172,6 @@ func TestSweepStreamReportsFailures(t *testing.T) {
 	}
 }
 
-func TestSweepStreamValidatesBeforeStreaming(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSweepKeys: 2, MaxQueue: 100})
-	for _, tc := range []struct{ name, body, wantErr string }{
-		{"empty", `{"runs":[]}`, "runs is empty"},
-		{"bad entry", `{"runs":[{"system":"nope","env":"crowded"}]}`, "runs[0]"},
-		{"too many", `{"runs":[{"system":"qz","env":"crowded"},{"system":"na","env":"crowded"},{"system":"cn","env":"crowded"}]}`, "per-sweep limit"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, ts, "/v1/sweep/stream", tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400 before any stream bytes; body = %s", resp.StatusCode, body)
-			}
-			if !strings.Contains(body, tc.wantErr) {
-				t.Fatalf("body %q missing %q", body, tc.wantErr)
-			}
-		})
-	}
-}
-
 // TestSweepStreamDisconnectNoLeak cancels the client mid-stream and
 // requires (a) the in-flight executions to be cancelled, (b) the goroutine
 // count to settle back to its pre-request level, and (c) the server to
@@ -294,5 +275,83 @@ func TestFleetStreamContract(t *testing.T) {
 	resp, out := postJSON(t, ts, "/v1/fleet", body)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(out, `"cached":true`) {
 		t.Fatalf("/v1/fleet after stream = %d %s", resp.StatusCode, out)
+	}
+}
+
+// TestFleetStreamDisconnectCancels pins that a fleet sweep runs under its
+// request: a client that disconnects mid-sweep frees the single-fleet gate,
+// leaks no goroutine and publishes nothing, so the next identical request
+// runs fresh instead of being served from the store.
+func TestFleetStreamDisconnectCancels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a real fleet")
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s, ts := newTestServer(t, Config{Store: st, StreamHeartbeat: 10 * time.Millisecond})
+	base := runtime.NumGoroutine()
+
+	// Large enough that the sweep is still running when the disconnect lands.
+	const devices = 2000
+	body := fmt.Sprintf(`{"devices": %d, "system": "qz", "env": "less-crowded", "events": 2}`, devices)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/fleet/stream", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The start event is out: the gate is held and the sweep is under way.
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.Contains(line, `"event":"start"`) {
+		t.Fatalf("first stream line = %q, %v", line, err)
+	}
+
+	cancel()
+	resp.Body.Close()
+
+	waitUntil(t, "fleet gate to free after disconnect", func() bool { return !s.fleetBusy.Load() })
+	waitUntil(t, "goroutines to settle after disconnect", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= base+2
+	})
+	if n, puts := s.mFleetsExecuted.Value(), s.mStorePuts.Value(); n != 0 || puts != 0 {
+		t.Fatalf("cancelled sweep counted %d fleets and %d store puts, want 0 and 0", n, puts)
+	}
+
+	// Nothing was published, so the identical plan runs fresh to the end.
+	_, events := collectStream(t, ts, "/v1/fleet/stream", body)
+	terminal := auditStream(t, events)
+	if terminal.Event != "done" || terminal.Cached || terminal.Stats == nil || terminal.Stats.Devices != devices {
+		t.Fatalf("rerun after disconnect: %+v", terminal)
+	}
+	if n := s.mFleetsExecuted.Value(); n != 1 {
+		t.Fatalf("fleets executed = %d after the rerun, want 1", n)
+	}
+}
+
+// TestFleetStreamTimeoutEndsWithError pins the terminal-event contract on a
+// sweep that outlives its budget: the stream ends with one "error" event
+// naming the deadline, not with no terminal event at all.
+func TestFleetStreamTimeoutEndsWithError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a real fleet")
+	}
+	s, ts := newTestServer(t, Config{StreamHeartbeat: time.Second})
+	// 1 ms cannot complete 1000 devices.
+	_, events := collectStream(t, ts, "/v1/fleet/stream",
+		`{"devices": 1000, "system": "qz", "env": "less-crowded", "timeout_ms": 1}`)
+	terminal := auditStream(t, events)
+	if terminal.Event != "error" || !strings.Contains(terminal.Error, "deadline exceeded") {
+		t.Fatalf("terminal = %+v, want an error event naming the deadline", terminal)
+	}
+	if s.fleetBusy.Load() {
+		t.Fatal("fleet gate still held after the stream ended")
 	}
 }

@@ -60,9 +60,6 @@ func (r *RateTracker) StoredFraction() float64 {
 // Lambda returns the estimated arrival rate λ in inputs per second.
 func (r *RateTracker) Lambda() float64 { return r.StoredFraction() / r.capturePeriod }
 
-// Window exposes the underlying bit window for inspection in tests.
-func (r *RateTracker) Window() *BitWindow { return r.win }
-
 // ProbTracker estimates a task's execution probability from a window of job
 // completions (paper §4.1): the fraction of recently completed jobs in which
 // the task ran.
@@ -87,6 +84,3 @@ func (p *ProbTracker) Observe(executed bool) { p.win.Push(executed) }
 
 // Probability returns the task's estimated execution probability.
 func (p *ProbTracker) Probability() float64 { return p.win.Fraction(p.prior) }
-
-// Window exposes the underlying bit window for inspection in tests.
-func (p *ProbTracker) Window() *BitWindow { return p.win }
